@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
       "file-backed QueryService under a residency budget.");
   cli.flag("db", "", "serve this database file (default: build and pack)");
   cli.flag("level", "8", "levels to build when no --db is given");
-  cli.flag("budget-kb", "16", "resident-level budget (0 = unlimited)");
+  cli.flag("budget-kb", "16", "block-cache budget (0 = unlimited)");
   cli.flag("queries", "200000", "lookups per phase");
   cli.flag("batch", "64", "max lookups per batched values() call");
   cli.flag("seed", "7", "workload random seed");

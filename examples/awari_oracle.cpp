@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       "file-served database.");
   cli.flag("db", "", "serve from this database file instead of building");
   cli.flag("budget-kb", "0",
-           "resident-level budget for --db serving (0 = unlimited)");
+           "block-cache budget for --db serving (0 = unlimited)");
   cli.flag("level", "8", "build levels 0..n when no --db is given");
   cli.flag("line", "false", "also print the optimal line");
   cli.parse(argc, argv);

@@ -5,7 +5,6 @@
 //   $ db_builder --level=10 --ranks=8 --out=/tmp/awari10.db
 //   $ db_builder --game=kalah --level=9 --sequential
 //   $ db_builder --level=12 --checkpoint=/tmp/ck   # crash-safe, resumable
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -24,8 +23,7 @@ namespace {
 
 using namespace retra;
 
-/// Resolves --format (v1|v2|v3) plus the deprecated --pack/--compress
-/// aliases, which can only raise the version and print a warning.
+/// Resolves --format (v1|v2|v3) and --block-positions.
 db::Format output_format(const support::Cli& cli) {
   db::Format format;
   const std::string name = cli.str("format");
@@ -39,14 +37,6 @@ db::Format output_format(const support::Cli& cli) {
     std::fprintf(stderr, "unknown --format=%s (want v1, v2 or v3)\n",
                  name.c_str());
     std::exit(2);
-  }
-  if (cli.boolean("compress")) {
-    std::fprintf(stderr,
-                 "warning: --compress is deprecated; use --format=v3\n");
-    format.version = std::max(format.version, 3);
-  } else if (cli.boolean("pack")) {
-    std::fprintf(stderr, "warning: --pack is deprecated; use --format=v2\n");
-    format.version = std::max(format.version, 2);
   }
   format.block_positions =
       static_cast<std::uint32_t>(cli.integer("block-positions"));
@@ -191,8 +181,6 @@ int main(int argc, char** argv) {
   cli.flag("format", "v1",
            "on-disk format of --out: v1 (raw), v2 (bit-packed RTRADB02), "
            "v3 (block-compressed RTRADB03)");
-  cli.flag("pack", "false", "deprecated alias for --format=v2");
-  cli.flag("compress", "false", "deprecated alias for --format=v3");
   cli.flag("block-positions", "4096",
            "positions per RTRADB03 block (even, at most 65536)");
   cli.parse(argc, argv);

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   cli.flag("seed", "7", "random seed for starting positions");
   cli.flag("db", "", "serve from this database file instead of building");
   cli.flag("budget-kb", "0",
-           "resident-level budget for --db serving (0 = unlimited)");
+           "block-cache budget for --db serving (0 = unlimited)");
   cli.parse(argc, argv);
   int level = static_cast<int>(cli.integer("level"));
   const int games = static_cast<int>(cli.integer("games"));
@@ -158,9 +158,9 @@ int main(int argc, char** argv) {
       "it)\n");
 
   if (service) {
-    const auto& stats = service->stats();
+    const serve::QueryService::Stats stats = service->stats();
     std::printf(
-        "\nserving: %llu lookups, %llu level faults, %llu evictions, "
+        "\nserving: %llu lookups, %llu block faults, %llu evictions, "
         "%llu bytes resident\n",
         static_cast<unsigned long long>(stats.lookups),
         static_cast<unsigned long long>(stats.faults),

@@ -170,8 +170,8 @@ struct BatchQueryRequest {
 };
 
 /// Counters a STATS_REPLY carries, mirroring the server's view at reply
-/// time: its own net-facing counters plus the QueryService residency
-/// state underneath.  `level_sizes` doubles as the served directory, so
+/// time: its own net-facing counters plus the QueryService block cache
+/// underneath.  `level_sizes` doubles as the served directory, so
 /// a remote client can sample or sweep without any other metadata op.
 struct StatsReply {
   std::uint64_t connections = 0;   // connections accepted since start
@@ -184,8 +184,8 @@ struct StatsReply {
   std::uint64_t shed = 0;          // of which kBusy admission sheds
   std::uint64_t hot_hits = 0;      // lookups answered by the hot tier
   std::uint64_t lookups = 0;       // QueryService lookups (hot misses)
-  std::uint64_t level_faults = 0;  // QueryService levels faulted
-  std::uint64_t level_evictions = 0;  // QueryService levels evicted
+  std::uint64_t faults = 0;        // QueryService blocks faulted
+  std::uint64_t evictions = 0;     // QueryService blocks evicted
   std::uint64_t resident_bytes = 0;   // QueryService resident payload
   std::vector<std::uint64_t> level_sizes;  // positions per served level
 

@@ -11,11 +11,9 @@
 // owning connection and wake the I/O thread through an eventfd.
 //
 // Admission control sheds load with a typed BUSY error instead of
-// queueing without bound: a request is refused when the queue is at
-// max_queue_depth, or when the fault debt — packed bytes of the
-// non-hot levels already queued — exceeds its ceiling, which defaults
-// to 8x the service's resident-byte budget.  A shed request costs the
-// client one round trip and a retry, never a wedged server.
+// queueing without bound: a request is refused when the queue already
+// holds max_queue_depth requests.  A shed request costs the client one
+// round trip and a retry, never a wedged server.
 //
 // Every observable event is published twice: through the net.* obs
 // metrics and through the atomic Stats mirror that the STATS op
@@ -43,11 +41,9 @@ struct ServerConfig {
   std::uint64_t budget_bytes = 0;
   /// Hot-tier byte budget above the service (0 disables the tier).
   std::uint64_t hot_bytes = 1u << 20;
-  /// Requests queued ahead of the workers before BUSY shedding.
+  /// Requests queued ahead of the workers before BUSY shedding (the
+  /// one admission rule; 0 sheds every request).
   std::size_t max_queue_depth = 1024;
-  /// Fault-debt ceiling in bytes; 0 derives 8x budget_bytes (and
-  /// disables the debt check entirely when the budget is unlimited).
-  std::uint64_t shed_fault_debt_bytes = 0;
   /// Most requests one worker wake-up drains (the coalescing window).
   std::size_t max_drain = 256;
 };
@@ -77,7 +73,7 @@ class Server {
   void stop();
 
   /// Plain-data copy of the server-side counters (the STATS op adds the
-  /// QueryService residency fields and the level directory).
+  /// QueryService block-cache fields and the level directory).
   struct Stats {
     std::uint64_t connections = 0;
     std::uint64_t requests = 0;

@@ -1,14 +1,14 @@
 // The server-side lookup store: a thread-safe facade over QueryService
 // with a shared read-mostly hot tier of decoded blocks.
 //
-// QueryService is single-threaded by design (one residency list, one
-// LRU).  A network server has many worker threads answering lookups
+// QueryService is single-threaded by design (one block cache).  A
+// network server has many worker threads answering lookups
 // concurrently, so Store layers two paths over one service:
 //
-//   * hot path — a small tier of bit-packed block copies under its own
-//     byte budget, guarded by a shared_mutex taken shared: any number
-//     of workers answer hot blocks in parallel without touching the
-//     service or its residency state.  For RTRADB01/02 files a level is
+//   * hot path — a small tier of decoded blocks under its own byte
+//     budget, guarded by a shared_mutex taken shared: any number of
+//     workers answer hot blocks in parallel without touching the
+//     service or its cache.  For RTRADB01/02 files a level is
 //     one block; for RTRADB03 each fixed-size block is promoted
 //     independently, so a compressed level can be partially hot — a
 //     batch answers its hot blocks shared and takes the miss path only
@@ -20,8 +20,9 @@
 //
 // Hot-tier eviction is promotion-order FIFO, not LRU: reordering on
 // every hit would turn the shared lock exclusive and serialise the very
-// path the tier exists to parallelise.  Promotion copies the decoded
-// block, so a hot block survives the service evicting its original.
+// path the tier exists to parallelise.  Promotion shares the service's
+// decoded block (a shared_ptr from its BlockCache) instead of copying
+// it, so a hot block survives the service evicting it at no extra cost.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ namespace retra::net {
 
 class Store {
  public:
-  /// `hot_bytes` caps the decoded payload the hot tier may copy; 0
+  /// `hot_bytes` caps the decoded payload the hot tier may hold; 0
   /// disables the tier (every lookup takes the locked miss path).
   Store(std::unique_ptr<serve::QueryService> service,
         std::uint64_t hot_bytes);
@@ -48,11 +49,6 @@ class Store {
   std::uint64_t level_size(int level) const { return level_sizes_[static_cast<std::size_t>(level)]; }
   const std::vector<std::uint64_t>& level_sizes() const {
     return level_sizes_;
-  }
-  /// Decoded bytes serving all of `level` costs (from the file index) —
-  /// the fault debt a cold query against it can incur.
-  std::uint64_t level_payload_bytes(int level) const {
-    return level_payload_bytes_[static_cast<std::size_t>(level)];
   }
 
   /// Answers out[i] = value(level, indices[i]).  `level` must be
@@ -63,17 +59,9 @@ class Store {
                        std::span<db::Value> out)
       RETRA_EXCLUDES(service_mutex_, hot_mutex_);
 
-  /// True when every block of `level` is answerable without touching
-  /// the service.
-  bool is_hot(int level) const RETRA_EXCLUDES(hot_mutex_);
-
   /// Point-in-time copy of the underlying service's counters.
   serve::QueryService::Stats service_stats() const
       RETRA_EXCLUDES(service_mutex_);
-
-  /// Levels with at least one hot block, most recently promoted first
-  /// (tests, introspection).
-  std::vector<int> hot_levels() const RETRA_EXCLUDES(hot_mutex_);
 
  private:
   /// Hot-tier key: one block of one level (block 0 for RTRADB01/02).
@@ -81,9 +69,6 @@ class Store {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(level))
             << 32) |
            static_cast<std::uint32_t>(block);
-  }
-  static int key_level(std::uint64_t key) {
-    return static_cast<int>(key >> 32);
   }
 
   int block_of(int level, idx::Index index) const {
@@ -96,7 +81,7 @@ class Store {
            level_block_positions_[static_cast<std::size_t>(level)];
   }
 
-  void hot_promote(int level, int block, const db::CompactLevel& resident)
+  void hot_promote(int level, int block, serve::BlockCache::Block resident)
       RETRA_EXCLUDES(hot_mutex_);
 
   // QueryService is single-threaded by design; the pointer is set once
@@ -109,7 +94,6 @@ class Store {
   // Level geometry: filled in the constructor, immutable afterwards.
   int num_levels_ RETRA_NOT_GUARDED = 0;
   std::vector<std::uint64_t> level_sizes_ RETRA_NOT_GUARDED;
-  std::vector<std::uint64_t> level_payload_bytes_ RETRA_NOT_GUARDED;
   std::vector<std::uint32_t> level_block_positions_ RETRA_NOT_GUARDED;
   std::vector<int> level_block_counts_ RETRA_NOT_GUARDED;
 
@@ -122,9 +106,6 @@ class Store {
       RETRA_GUARDED_BY(hot_mutex_);
   // front = most recently promoted
   std::list<std::uint64_t> hot_order_ RETRA_GUARDED_BY(hot_mutex_);
-  // hot blocks per level, for the all-blocks-hot test behind is_hot()
-  std::unordered_map<int, int> hot_level_blocks_
-      RETRA_GUARDED_BY(hot_mutex_);
   std::uint64_t hot_resident_ RETRA_GUARDED_BY(hot_mutex_) = 0;
 };
 

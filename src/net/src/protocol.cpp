@@ -176,8 +176,8 @@ std::vector<std::byte> encode_stats_reply(std::uint32_t request_id,
   w.u64(stats.shed);
   w.u64(stats.hot_hits);
   w.u64(stats.lookups);
-  w.u64(stats.level_faults);
-  w.u64(stats.level_evictions);
+  w.u64(stats.faults);
+  w.u64(stats.evictions);
   w.u64(stats.resident_bytes);
   w.u32(static_cast<std::uint32_t>(stats.level_sizes.size()));
   for (const std::uint64_t size : stats.level_sizes) w.u64(size);
@@ -260,8 +260,8 @@ ErrorCode decode_stats_reply(std::span<const std::byte> payload,
   out.shed = r.u64();
   out.hot_hits = r.u64();
   out.lookups = r.u64();
-  out.level_faults = r.u64();
-  out.level_evictions = r.u64();
+  out.faults = r.u64();
+  out.evictions = r.u64();
   out.resident_bytes = r.u64();
   const std::uint32_t levels = r.u32();
   if (payload.size() != kFixed + static_cast<std::size_t>(levels) * 8) {

@@ -59,7 +59,6 @@ struct Request {
   int level = 0;                   // kQuery / kBatchQuery
   idx::Index index = 0;            // kQuery
   std::vector<idx::Index> batch;   // kBatchQuery
-  std::uint64_t debt = 0;          // fault-debt bytes charged at admission
   std::uint64_t enqueue_ns = 0;
 };
 
@@ -84,10 +83,6 @@ struct Server::Impl {
   support::CondVar queue_cv;
   std::deque<Request> queue RETRA_GUARDED_BY(queue_mutex);
   bool workers_stop RETRA_GUARDED_BY(queue_mutex) = false;
-
-  std::atomic<std::uint64_t> fault_debt{0};
-  // Resolved from the config at start(), before any thread exists.
-  std::uint64_t debt_limit RETRA_NOT_GUARDED = 0;
 
   // Connections the workers produced output for since the last wake.
   support::Mutex wake_mutex;
@@ -207,10 +202,6 @@ bool Server::start(std::string* error) {
     *error = "cannot register eventfd";
     return false;
   }
-
-  impl_->debt_limit = config_.shed_fault_debt_bytes != 0
-                          ? config_.shed_fault_debt_bytes
-                          : config_.budget_bytes * 8;
 
   impl_->io_thread = std::thread([this] { impl_->io_loop(); });
   impl_->worker_threads.reserve(static_cast<std::size_t>(config_.workers));
@@ -461,24 +452,16 @@ void Server::Impl::handle_request(const std::shared_ptr<Connection>& conn,
       return;
   }
 
-  if ((request.op == Op::kQuery || request.op == Op::kBatchQuery) &&
-      !store.is_hot(request.level)) {
-    request.debt = store.level_payload_bytes(request.level);
-  }
   enqueue_request(std::move(request));
 }
 
 void Server::Impl::enqueue_request(Request request) RETRA_IO_THREAD_ONLY {
-  const std::uint64_t debt = request.debt;
   bool shed = false;
   {
     const support::MutexLock lock(queue_mutex);
-    if (queue.size() >= server.config_.max_queue_depth ||
-        (debt_limit != 0 && debt != 0 &&
-         fault_debt.load() + debt > debt_limit)) {
+    if (queue.size() >= server.config_.max_queue_depth) {
       shed = true;
     } else {
-      fault_debt.fetch_add(debt);
       request.enqueue_ns = uptime.nanoseconds();
       // Count before publishing: a worker may serialise a STATS reply
       // the instant the queue holds the request, and that reply must
@@ -664,7 +647,6 @@ void Server::Impl::process_batch(std::vector<Request>& batch) {
       default:
         break;  // admission never enqueues anything else
     }
-    if (request.debt != 0) fault_debt.fetch_sub(request.debt);
   }
 
   if (!woken.empty()) wake_io();
@@ -698,8 +680,8 @@ StatsReply Server::Impl::build_stats_reply() const {
   reply.hot_hits = counters.hot_hits.load();
   const serve::QueryService::Stats service = server.store_->service_stats();
   reply.lookups = service.lookups;
-  reply.level_faults = service.faults;
-  reply.level_evictions = service.evictions;
+  reply.faults = service.faults;
+  reply.evictions = service.evictions;
   reply.resident_bytes = service.resident_bytes;
   reply.level_sizes = server.store_->level_sizes();
   return reply;

@@ -14,12 +14,10 @@ Store::Store(std::unique_ptr<serve::QueryService> service,
   const db::FileIndex& index = service_->index();
   num_levels_ = static_cast<int>(index.levels.size());
   level_sizes_.reserve(index.levels.size());
-  level_payload_bytes_.reserve(index.levels.size());
   level_block_positions_.reserve(index.levels.size());
   level_block_counts_.reserve(index.levels.size());
   for (const db::LevelLocation& location : index.levels) {
     level_sizes_.push_back(location.size);
-    level_payload_bytes_.push_back(location.decoded_bytes());
     level_block_positions_.push_back(location.block_positions);
     level_block_counts_.push_back(location.block_count());
   }
@@ -32,8 +30,7 @@ std::uint64_t Store::values(int level, std::span<const idx::Index> indices,
 
   if (indices.empty()) {
     // An empty batch still warms the level's first block, exactly as the
-    // in-process service does — unless the level is already fully hot.
-    if (is_hot(level)) return 0;
+    // in-process service does.
     const support::MutexLock lock(service_mutex_);
     service_->values(level, indices, out);
     if (hot_bytes_ != 0 &&
@@ -112,39 +109,14 @@ std::uint64_t Store::values(int level, std::span<const idx::Index> indices,
   return hot_answered;
 }
 
-bool Store::is_hot(int level) const {
-  if (hot_bytes_ == 0) return false;
-  const support::ReaderMutexLock lock(hot_mutex_);
-  const auto it = hot_level_blocks_.find(level);
-  return it != hot_level_blocks_.end() &&
-         it->second == level_block_counts_[static_cast<std::size_t>(level)];
-}
-
 serve::QueryService::Stats Store::service_stats() const {
   const support::MutexLock lock(service_mutex_);
   return service_->stats();
 }
 
-std::vector<int> Store::hot_levels() const {
-  const support::ReaderMutexLock lock(hot_mutex_);
-  std::vector<int> levels;
-  for (const std::uint64_t key : hot_order_) {
-    const int level = key_level(key);
-    bool seen = false;
-    for (const int known : levels) {
-      if (known == level) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) levels.push_back(level);
-  }
-  return levels;
-}
-
 void Store::hot_promote(int level, int block,
-                        const db::CompactLevel& resident) {
-  const std::uint64_t bytes = resident.memory_bytes();
+                        serve::BlockCache::Block resident) {
+  const std::uint64_t bytes = resident->memory_bytes();
   if (bytes > hot_bytes_) return;  // would evict the whole tier for one block
   const support::WriterMutexLock lock(hot_mutex_);
   const std::uint64_t key = hot_key(level, block);
@@ -155,18 +127,12 @@ void Store::hot_promote(int level, int block,
     const auto it = hot_.find(victim);
     RETRA_CHECK(it != hot_.end());
     hot_resident_ -= it->second.block->memory_bytes();
-    const auto count = hot_level_blocks_.find(key_level(victim));
-    RETRA_CHECK(count != hot_level_blocks_.end());
-    if (--count->second == 0) hot_level_blocks_.erase(count);
     hot_.erase(it);
   }
-  // Copy: the service may evict (and destroy) its resident block at any
-  // later query; hot readers hold this shared copy instead.
+  // Shared, not copied: the service may evict its handle at any later
+  // query; the hot tier's handle keeps the block alive for hot readers.
   hot_order_.push_front(key);
-  hot_.emplace(key,
-               HotEntry{std::make_shared<const db::CompactLevel>(resident),
-                        hot_order_.begin()});
-  ++hot_level_blocks_[level];
+  hot_.emplace(key, HotEntry{std::move(resident), hot_order_.begin()});
   hot_resident_ += bytes;
 }
 

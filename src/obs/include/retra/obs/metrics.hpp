@@ -139,11 +139,7 @@ enum class Id : int {
   // serve.query — the query-serving subsystem (QueryService).
   kServeLookups,
   kServeBatchSize,
-  kServeLevelFaults,
-  kServeLevelEvictions,
-  kServeResidentBytes,
-  kServeFaultSeconds,
-  // serve.query — the block cache fronting RTRADB03 files (C1).
+  // serve.query — the block cache under every file version (C1).
   kServeBlockHits,
   kServeBlockFaults,
   kServeBlockEvictions,
@@ -292,14 +288,6 @@ inline constexpr std::array<Desc, kMetricCount> kCatalog = {{
      "positions answered by QueryService (single and batched)"},
     {"serve.batch_size", Kind::kHistogram, "lookups", "serve.query", "-",
      "lookups per values() batch"},
-    {"serve.level_faults", Kind::kCounter, "levels", "serve.query", "-",
-     "levels materialised from the database file on demand"},
-    {"serve.level_evictions", Kind::kCounter, "levels", "serve.query", "-",
-     "resident levels evicted to stay within the byte budget"},
-    {"serve.resident_bytes", Kind::kGauge, "bytes", "serve.query", "-",
-     "packed level payload bytes currently resident"},
-    {"serve.fault_seconds", Kind::kTimer, "seconds", "serve.query", "-",
-     "wall time spent reading and unpacking faulted levels"},
     {"serve.blockcache.hits", Kind::kCounter, "touches", "serve.query", "C1",
      "block-cache touches answered by an already-resident block"},
     {"serve.blockcache.faults", Kind::kCounter, "blocks", "serve.query",
@@ -307,7 +295,7 @@ inline constexpr std::array<Desc, kMetricCount> kCatalog = {{
     {"serve.blockcache.evictions", Kind::kCounter, "blocks", "serve.query",
      "C1", "resident blocks evicted to stay within the byte budget"},
     {"serve.blockcache.resident_bytes", Kind::kGauge, "bytes", "serve.query",
-     "C1", "decoded block bytes currently resident for blocked files"},
+     "C1", "decoded block bytes currently resident"},
     {"serve.blockcache.decode_seconds", Kind::kTimer, "seconds",
      "serve.query", "C1",
      "wall time spent reading and decoding faulted blocks"},

@@ -12,14 +12,14 @@
 //                      the shard to a per-(rank, level) RTRADB03 file in
 //                      the scratch directory (db::save — the same block
 //                      codec as persisted databases) and frees the RAM.
-//                      Lower-level lookups fault single blocks back in
-//                      through serve::FileSource and an LRU over
-//                      (level, block) keeps decoded resident bytes under
-//                      the per-rank working-set budget.  A block larger
-//                      than the whole budget is still served — it is
-//                      faulted in and everything else is evicted — so a
+//                      Lower-level lookups read single blocks back
+//                      through serve::FileSource into one
+//                      serve::BlockCache — the same LRU the query
+//                      service uses — which keeps decoded resident bytes
+//                      under the per-rank working-set budget and still
+//                      serves a block larger than the whole budget, so a
 //                      tiny budget degrades to thrashing, never to wrong
-//                      answers (the QueryService rule).
+//                      answers.
 //
 // Budget semantics: the working-set budget governs *completed-level*
 // residency.  The in-progress BuildArrays and the message/combiner state
@@ -39,13 +39,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "retra/db/database.hpp"
+#include "retra/serve/block_cache.hpp"
 #include "retra/serve/file_source.hpp"
 #include "retra/support/check.hpp"
 #include "retra/support/numeric.hpp"
@@ -254,11 +254,6 @@ class FileLevelStore final : public LevelStore {
   StoreStats stats() const override;
 
  private:
-  struct BlockKey {
-    int level = 0;
-    int block = 0;
-    bool operator==(const BlockKey&) const = default;
-  };
   struct SpilledLevel {
     std::string path;
     std::unique_ptr<serve::FileSource> source;
@@ -266,21 +261,17 @@ class FileLevelStore final : public LevelStore {
 
   void store_shard(std::vector<db::Value> shard) override;
   std::string level_path(int level) const;
-  /// Faults the block in if absent, marks it most recently used and
-  /// evicts LRU victims (never the just-touched block) until the budget
-  /// holds; returns the resident block.
-  const db::CompactLevel& touch(int level, int block) const
-      RETRA_REQUIRES(mutex_);
 
   const StoreConfig config_;
   const int rank_;
   mutable support::Mutex mutex_;
-  /// Spilled levels; the FileSource residency set is the cache the LRU
-  /// below manages.  Guarded: worker threads of this rank fault blocks
-  /// concurrently during chunk-parallel scans.
+  /// Spilled levels and the cache of their decoded blocks.  Guarded:
+  /// worker threads of this rank fault blocks concurrently during
+  /// chunk-parallel scans.
   mutable std::vector<SpilledLevel> levels_ RETRA_GUARDED_BY(mutex_);
-  mutable std::list<BlockKey> lru_ RETRA_GUARDED_BY(mutex_);  // front = MRU
-  mutable StoreStats stats_ RETRA_GUARDED_BY(mutex_);
+  mutable serve::BlockCache cache_ RETRA_GUARDED_BY(mutex_);
+  std::uint64_t levels_spilled_ RETRA_GUARDED_BY(mutex_) = 0;
+  std::uint64_t spill_bytes_ RETRA_GUARDED_BY(mutex_) = 0;
 };
 
 /// Backend selection: the file store when `config` sets a working-set

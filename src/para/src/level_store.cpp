@@ -1,6 +1,5 @@
 #include "retra/para/level_store.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -12,7 +11,7 @@ namespace retra::para {
 // --------------------------------------------------------------- FileLevelStore
 
 FileLevelStore::FileLevelStore(const StoreConfig& config, int rank)
-    : config_(config), rank_(rank) {
+    : config_(config), rank_(rank), cache_(config.working_set_bytes) {
   RETRA_CHECK_MSG(config_.out_of_core(),
                   "FileLevelStore needs a nonzero working-set budget");
   RETRA_CHECK_MSG(!config_.scratch_dir.empty(),
@@ -52,61 +51,20 @@ void FileLevelStore::store_shard(std::vector<db::Value> shard) {
   }
   support::MutexLock lock(mutex_);
   if (spilled.source != nullptr) {
-    stats_.levels_spilled += 1;
-    stats_.spill_bytes += spilled.source->index().total_payload_bytes();
+    levels_spilled_ += 1;
+    spill_bytes_ += spilled.source->index().total_payload_bytes();
   }
   levels_.push_back(std::move(spilled));
 }
 
-const db::CompactLevel& FileLevelStore::touch(int level, int block) const {
-  serve::FileSource& source = *levels_[support::to_size(level)].source;
-  const BlockKey key{level, block};
-  if (source.is_block_resident(0, block)) {
-    const auto it = std::find(lru_.begin(), lru_.end(), key);
-    lru_.splice(lru_.begin(), lru_, it);  // mark most recently used
-    return source.ensure_block(0, block);
-  }
-  // Make room first, coldest-first, using the scan-time size estimate of
-  // the incoming block, so true residency never overshoots the budget
-  // while the new block decodes.  An oversized block is still served —
-  // the cache just ends up holding only it (the QueryService rule:
-  // degrade to thrashing, never to a wrong answer).
-  const auto evict_victim = [this] {
-    const BlockKey victim = lru_.back();
-    lru_.pop_back();
-    serve::FileSource& victim_source =
-        *levels_[support::to_size(victim.level)].source;
-    stats_.resident_bytes -= victim_source.block_bytes(0, victim.block);
-    victim_source.drop_block(0, victim.block);
-    stats_.evictions += 1;
-  };
-  const std::uint64_t incoming = source.block_bytes(0, block);
-  while (!lru_.empty() &&
-         stats_.resident_bytes + incoming > config_.working_set_bytes) {
-    evict_victim();
-  }
-  const db::CompactLevel& data = source.ensure_block(0, block);
-  stats_.faults += 1;
-  stats_.fault_bytes += data.memory_bytes();
-  stats_.resident_bytes += data.memory_bytes();
-  lru_.push_front(key);
-  // The estimate and the decoded size agree for RTRADB03, but trim again
-  // defensively (never the just-touched block).
-  while (stats_.resident_bytes > config_.working_set_bytes &&
-         lru_.size() > 1) {
-    evict_victim();
-  }
-  stats_.peak_resident_bytes =
-      std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
-  return data;
-}
-
 db::Value FileLevelStore::value(int level, std::uint64_t local) const {
   support::MutexLock lock(mutex_);
-  const serve::FileSource& source = *levels_[support::to_size(level)].source;
+  serve::FileSource& source = *levels_[support::to_size(level)].source;
   const int block = source.block_of(0, local);
-  const db::CompactLevel& data = touch(level, block);
-  return data.get(local - source.block_begin(0, block));
+  const serve::BlockCache::Block& data =
+      cache_.get({level, block}, source.block_decoded_bytes(0, block),
+                 [&] { return source.read_block(0, block); });
+  return data->get(local - source.block_begin(0, block));
 }
 
 void FileLevelStore::visit_shard(int level, const ShardVisitor& fn) const {
@@ -137,8 +95,16 @@ void FileLevelStore::visit_shard(int level, const ShardVisitor& fn) const {
 
 StoreStats FileLevelStore::stats() const {
   support::MutexLock lock(mutex_);
-  StoreStats stats = stats_;
+  const serve::BlockCache::Stats& cache = cache_.stats();
+  StoreStats stats;
+  stats.levels_spilled = levels_spilled_;
+  stats.spill_bytes = spill_bytes_;
+  stats.faults = cache.faults;
+  stats.fault_bytes = cache.fault_bytes;
+  stats.evictions = cache.evictions;
   stats.queue_spilled_records = queue_spilled();
+  stats.resident_bytes = cache.resident_bytes;
+  stats.peak_resident_bytes = cache.peak_resident_bytes;
   return stats;
 }
 

@@ -1,33 +1,31 @@
-// File-backed ValueSource with lazy block residency.
+// A plain block reader over one RTRADB file.
 //
 // open() scans the RTRADB level directory (headers only — a few KB even
-// for a multi-gigabyte database) and answers queries by faulting in the
-// smallest addressable unit on first touch: the whole level for
+// for a multi-gigabyte database).  After that the reader answers block
+// geometry questions from the directory and reads, checksum-verifies
+// and decodes one block per read_block() call: the whole level for
 // RTRADB01/02 (one implicit block per level) and a single fixed-size
-// block for RTRADB03, so a point lookup against a compressed file reads,
-// checksum-verifies and decodes exactly one block.  RTRADB02 payloads
-// are adopted verbatim; RTRADB01 raw payloads are re-packed once at
-// fault time; RTRADB03 blocks are decoded to bit-packed form.  Nothing
-// is ever dropped implicitly — eviction policy lives one layer up, in
-// QueryService, which drives drop_block() against a byte budget.
+// block for RTRADB03.  RTRADB02 payloads are adopted verbatim; RTRADB01
+// raw payloads are re-packed; RTRADB03 blocks are decoded to bit-packed
+// form.  It keeps nothing it reads: caching decoded blocks is
+// BlockCache's job.
 //
-// Not thread-safe: one FileSource per serving thread.
+// Not thread-safe: reads share one FILE*.
 #pragma once
 
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
+#include "retra/db/compact.hpp"
 #include "retra/db/db_io.hpp"
-#include "retra/serve/value_source.hpp"
+#include "retra/index/board_index.hpp"
 
 namespace retra::serve {
 
-class FileSource final : public ValueSource {
+class FileSource {
  public:
-  /// Result of open(): either a ready source or a diagnosis of why the
+  /// Result of open(): either a ready reader or a diagnosis of why the
   /// file was rejected (missing, malformed, truncated).
   struct OpenResult {
     bool ok = false;
@@ -36,64 +34,33 @@ class FileSource final : public ValueSource {
   };
   static OpenResult open(const std::string& path);
 
-  ~FileSource() override;
+  ~FileSource();
   FileSource(const FileSource&) = delete;
   FileSource& operator=(const FileSource&) = delete;
 
-  int num_levels() const override {
-    return static_cast<int>(index_.levels.size());
-  }
-  std::uint64_t level_size(int level) const override;
-  Value value(int level, idx::Index index) override;
-  void values(int level, std::span<const idx::Index> indices,
-              std::span<Value> out) override;
+  int num_levels() const { return static_cast<int>(index_.levels.size()); }
+  bool covers(int level) const { return level >= 0 && level < num_levels(); }
+  std::uint64_t level_size(int level) const;
 
   /// The scanned level directory (format version, offsets, sizes).
   const db::FileIndex& index() const { return index_; }
 
-  /// True when the file is block-granular (RTRADB03): residency, faults
-  /// and eviction all act on blocks instead of whole levels.
-  bool blocked() const { return index_.version == 3; }
-
-  /// Cacheable units in `level` (1 for RTRADB01/02).
+  /// Blocks in `level` (1 for RTRADB01/02).
   int block_count(int level) const;
   /// The block holding position `index` of `level` (0 for RTRADB01/02).
   int block_of(int level, idx::Index index) const;
   /// First position covered by block `block` of `level`.
   std::uint64_t block_begin(int level, int block) const;
+  /// Scan-time estimate of the decoded bytes of block `block` — what a
+  /// cache charges before reading it.  Exact for RTRADB02/03; the raw
+  /// stored width for RTRADB01, which overstates the packed size.
+  std::uint64_t block_decoded_bytes(int level, int block) const;
 
-  /// Faults the block in if absent and returns it; aborts if the stored
+  /// Reads and decodes block `block` of `level`; aborts if the stored
   /// bytes fail their checksum or decode (open() already vetted the
-  /// file's structure).  The returned CompactLevel is indexed from the
-  /// block's first position — subtract block_begin() before get().
-  const db::CompactLevel& ensure_block(int level, int block);
-
-  bool is_block_resident(int level, int block) const;
-  /// Releases a resident block; a later query faults it back in.
-  void drop_block(int level, int block);
-
-  /// Resident cost of block `block` of `level`: its decoded bytes when
-  /// resident, the scan-time estimate otherwise.
-  std::uint64_t block_bytes(int level, int block) const;
-
-  /// Faults the level in if absent and returns it.  Only valid for
-  /// levels with a single block (always true for RTRADB01/02); callers
-  /// serving RTRADB03 use ensure_block().
-  const db::CompactLevel& ensure_level(int level);
-
-  /// True when every block of `level` is resident.
-  bool is_resident(int level) const;
-  /// Releases every resident block of `level`.
-  void drop_level(int level);
-
-  /// Decoded bytes currently resident across all levels.
-  std::uint64_t resident_bytes() const { return resident_bytes_; }
-  /// Decoded bytes level `level` costs while fully resident.
-  std::uint64_t level_bytes(int level) const;
-
-  /// Lifetime fault count (blocks materialised from disk; one per level
-  /// for RTRADB01/02).
-  std::uint64_t faults() const { return faults_; }
+  /// file's structure).  The result is indexed from the block's first
+  /// position — subtract block_begin() before get().
+  db::CompactLevel read_block(int level, int block);
 
  private:
   struct Passkey {};  // lets open() use make_unique on a private-ish ctor
@@ -102,12 +69,10 @@ class FileSource final : public ValueSource {
   FileSource(Passkey, std::FILE* file, db::FileIndex index);
 
  private:
+  const db::LevelLocation& location(int level) const;
+
   std::FILE* file_ = nullptr;
   db::FileIndex index_;
-  // resident_[level][block]; RTRADB01/02 levels hold one block.
-  std::vector<std::vector<std::optional<db::CompactLevel>>> resident_;
-  std::uint64_t resident_bytes_ = 0;
-  std::uint64_t faults_ = 0;
 };
 
 }  // namespace retra::serve

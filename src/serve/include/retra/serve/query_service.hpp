@@ -1,20 +1,18 @@
 // The query-serving layer: a budgeted, metered, file-backed ValueSource.
 //
-// QueryService owns a FileSource and keeps its resident decoded bytes
-// under a configurable budget with LRU eviction over the file's
-// cacheable units: whole levels for RTRADB01/02, single blocks for
-// RTRADB03 (the block cache).  Answering a query against a non-resident
-// unit faults it in, then evicts least-recently-used units until the
-// budget holds again.  A unit larger than the whole budget is still
-// served — it is faulted in and everything else is evicted — so a small
-// budget degrades to thrashing, never to wrong answers.  Eviction order
-// is deterministic: it depends only on the query sequence.
+// QueryService is a FileSource (the reader) plus a BlockCache (the
+// budgeted LRU of decoded blocks).  Answering a query against a block
+// that is not cached reads and decodes it, evicting least-recently-used
+// blocks to keep the resident decoded bytes under the configured
+// budget; see block_cache.hpp for the eviction rules.  Every file
+// version takes the same path: an RTRADB01/02 level is one block, an
+// RTRADB03 level many.  Eviction order is deterministic: it depends
+// only on the query sequence.
 //
-// Every lookup, batch, fault and eviction is published through the obs
-// registry (serve.* for whole-level units, serve.blockcache.* for
-// blocks; docs/METRICS.md) and mirrored in the local Stats struct, so a
-// bench artifact and the service's own counters can be reconciled
-// exactly.
+// Every lookup, batch, hit, fault and eviction is published through the
+// obs registry (serve.lookups, serve.batch_size, serve.blockcache.*;
+// docs/METRICS.md) and mirrored in stats(), so a bench artifact and the
+// service's own counters can be reconciled exactly.
 //
 // Not thread-safe: one QueryService per serving thread.  Concurrent
 // callers must go through net::Store, whose service_mutex_ carries the
@@ -23,17 +21,19 @@
 // (docs/ANALYSIS.md) does not apply here.
 #pragma once
 
-#include <list>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "retra/serve/block_cache.hpp"
 #include "retra/serve/file_source.hpp"
+#include "retra/serve/value_source.hpp"
 
 namespace retra::serve {
 
 struct QueryServiceConfig {
-  /// Resident decoded-byte budget; 0 means unlimited (every unit stays
+  /// Resident decoded-byte budget; 0 means unlimited (every block stays
   /// resident once faulted, nothing is ever evicted).
   std::uint64_t budget_bytes = 0;
 };
@@ -58,26 +58,17 @@ class QueryService final : public ValueSource {
   void values(int level, std::span<const idx::Index> indices,
               std::span<Value> out) override;
 
-  /// Local mirror of the serve.* obs metrics for this instance.  The
-  /// level counters move for RTRADB01/02 files, the block counters for
-  /// RTRADB03 files; resident_bytes covers both.
-  struct Stats {
-    std::uint64_t lookups = 0;    // positions answered (single + batched)
-    std::uint64_t batches = 0;    // values() calls
-    std::uint64_t faults = 0;     // levels materialised from disk
-    std::uint64_t evictions = 0;  // levels dropped to respect the budget
-    std::uint64_t resident_bytes = 0;   // decoded bytes resident
-    std::uint64_t block_hits = 0;       // touches of a resident block
-    std::uint64_t block_faults = 0;     // blocks decoded on demand
-    std::uint64_t block_evictions = 0;  // blocks dropped for the budget
+  /// Local mirror of the serve.* obs metrics for this instance: the
+  /// block cache's counters plus the lookup totals.
+  struct Stats : BlockCache::Stats {
+    std::uint64_t lookups = 0;  // positions answered (single + batched)
+    std::uint64_t batches = 0;  // values() calls
   };
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
 
   const QueryServiceConfig& config() const { return config_; }
   const db::FileIndex& index() const { return file_->index(); }
 
-  /// True when the file is block-granular (RTRADB03).
-  bool blocked() const { return file_->blocked(); }
   int block_count(int level) const { return file_->block_count(level); }
   int block_of(int level, idx::Index index) const {
     return file_->block_of(level, index);
@@ -87,12 +78,11 @@ class QueryService final : public ValueSource {
   }
 
   /// Touches block `block` of `level` exactly as a query would (fault
-  /// in, mark most recently used, evict LRU victims) and returns the
-  /// resident block, indexed from its first position.  The reference
-  /// stays valid until the next query.  This is how the network layer's
-  /// shared hot tier snapshots a block it wants to promote above the
-  /// service's single-threaded path.
-  const db::CompactLevel& resident_block(int level, int block) {
+  /// in, mark most recently used, evict LRU victims) and returns it,
+  /// indexed from its first position.  The network layer's hot tier
+  /// shares the returned block; it stays alive after the cache evicts
+  /// it.
+  BlockCache::Block resident_block(int level, int block) {
     return touch(level, block);
   }
 
@@ -111,20 +101,15 @@ class QueryService final : public ValueSource {
                const QueryServiceConfig& config);
 
  private:
-  struct BlockKey {
-    int level = 0;
-    int block = 0;
-    bool operator==(const BlockKey&) const = default;
-  };
-
-  /// Marks the unit most recently used, faulting it in and evicting LRU
-  /// units as needed; returns the resident block.
-  const db::CompactLevel& touch(int level, int block);
+  /// Returns the block, faulting it in and publishing the cache's
+  /// counter moves.
+  const BlockCache::Block& touch(int level, int block);
 
   std::unique_ptr<FileSource> file_;
   QueryServiceConfig config_;
-  std::list<BlockKey> lru_;  // front = most recently used
-  Stats stats_;
+  BlockCache cache_;
+  std::uint64_t lookups_ = 0;
+  std::uint64_t batches_ = 0;
 };
 
 }  // namespace retra::serve

@@ -4,9 +4,9 @@
 // the serving tools — talks to a ValueSource instead of a concrete
 // storage class, so the same query code runs against the dense in-memory
 // Database, the 2–4× smaller bit-packed CompactDatabase, or an on-disk
-// RTRADB file whose levels are faulted in on demand (FileSource /
-// QueryService).  Lookups are not const: file-backed sources mutate
-// residency state while answering.
+// RTRADB file whose blocks are read in on demand (QueryService).
+// Lookups are not const: file-backed sources mutate cache state while
+// answering.
 //
 // Batching matters at serving scale: values() answers a whole span of
 // same-level indices in one virtual call, which is one residency check

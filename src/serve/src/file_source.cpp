@@ -7,15 +7,8 @@
 
 namespace retra::serve {
 
-using support::to_size;
-
 FileSource::FileSource(Passkey, std::FILE* file, db::FileIndex index)
-    : file_(file), index_(std::move(index)) {
-  resident_.resize(index_.levels.size());
-  for (std::size_t l = 0; l < index_.levels.size(); ++l) {
-    resident_[l].resize(to_size(index_.levels[l].block_count()));
-  }
-}
+    : file_(file), index_(std::move(index)) {}
 
 FileSource::~FileSource() {
   if (file_) std::fclose(file_);
@@ -40,116 +33,40 @@ FileSource::OpenResult FileSource::open(const std::string& path) {
   return result;
 }
 
-std::uint64_t FileSource::level_size(int level) const {
+const db::LevelLocation& FileSource::location(int level) const {
   RETRA_CHECK_MSG(covers(level), "level not covered by this file");
-  return index_.levels[to_size(level)].size;
+  return index_.levels[support::to_size(level)];
+}
+
+std::uint64_t FileSource::level_size(int level) const {
+  return location(level).size;
 }
 
 int FileSource::block_count(int level) const {
-  RETRA_CHECK_MSG(covers(level), "level not covered by this file");
-  return index_.levels[to_size(level)].block_count();
+  return location(level).block_count();
 }
 
 int FileSource::block_of(int level, idx::Index index) const {
-  RETRA_CHECK_MSG(covers(level), "level not covered by this file");
-  const db::LevelLocation& location = index_.levels[to_size(level)];
-  if (location.block_positions == 0) return 0;
-  return static_cast<int>(index / location.block_positions);
+  const db::LevelLocation& where = location(level);
+  if (where.block_positions == 0) return 0;
+  return static_cast<int>(index / where.block_positions);
 }
 
 std::uint64_t FileSource::block_begin(int level, int block) const {
-  RETRA_CHECK_MSG(covers(level), "level not covered by this file");
-  return index_.levels[to_size(level)].block_begin(block);
+  return location(level).block_begin(block);
 }
 
-std::uint64_t FileSource::block_bytes(int level, int block) const {
-  RETRA_CHECK_MSG(covers(level), "level not covered by this file");
-  if (const auto& slot = resident_[to_size(level)][to_size(block)]; slot) {
-    return slot->memory_bytes();
-  }
-  return index_.levels[to_size(level)].block_decoded_bytes(block);
+std::uint64_t FileSource::block_decoded_bytes(int level, int block) const {
+  return location(level).block_decoded_bytes(block);
 }
 
-std::uint64_t FileSource::level_bytes(int level) const {
-  RETRA_CHECK_MSG(covers(level), "level not covered by this file");
-  std::uint64_t total = 0;
-  for (int b = 0; b < block_count(level); ++b) {
-    total += block_bytes(level, b);
-  }
-  return total;
-}
-
-bool FileSource::is_block_resident(int level, int block) const {
-  if (!covers(level)) return false;
-  return resident_[to_size(level)][to_size(block)].has_value();
-}
-
-bool FileSource::is_resident(int level) const {
-  if (!covers(level)) return false;
-  const auto& blocks = resident_[to_size(level)];
-  for (const auto& slot : blocks) {
-    if (!slot) return false;
-  }
-  return !blocks.empty();
-}
-
-const db::CompactLevel& FileSource::ensure_block(int level, int block) {
-  RETRA_CHECK_MSG(covers(level), "level not covered by this file");
-  const db::LevelLocation& location = index_.levels[to_size(level)];
-  RETRA_CHECK_MSG(block >= 0 && block < location.block_count(),
+db::CompactLevel FileSource::read_block(int level, int block) {
+  const db::LevelLocation& where = location(level);
+  RETRA_CHECK_MSG(block >= 0 && block < where.block_count(),
                   "block not covered by this level");
-  auto& slot = resident_[to_size(level)][to_size(block)];
-  if (!slot) {
-    db::LevelReadResult read = db::read_block(file_, location, block);
-    RETRA_CHECK_MSG(read.ok, read.error);
-    slot.emplace(std::move(read.level));
-    resident_bytes_ += slot->memory_bytes();
-    ++faults_;
-  }
-  return *slot;
-}
-
-const db::CompactLevel& FileSource::ensure_level(int level) {
-  RETRA_CHECK_MSG(block_count(level) == 1,
-                  "ensure_level on a multi-block level; use ensure_block");
-  return ensure_block(level, 0);
-}
-
-void FileSource::drop_block(int level, int block) {
-  if (!is_block_resident(level, block)) return;
-  auto& slot = resident_[to_size(level)][to_size(block)];
-  resident_bytes_ -= slot->memory_bytes();
-  slot.reset();
-}
-
-void FileSource::drop_level(int level) {
-  if (!covers(level)) return;
-  for (int b = 0; b < block_count(level); ++b) drop_block(level, b);
-}
-
-Value FileSource::value(int level, idx::Index index) {
-  const int block = block_of(level, index);
-  return ensure_block(level, block).get(index - block_begin(level, block));
-}
-
-void FileSource::values(int level, std::span<const idx::Index> indices,
-                        std::span<Value> out) {
-  RETRA_CHECK(out.size() >= indices.size());
-  int current = -1;
-  const db::CompactLevel* stored = nullptr;
-  std::uint64_t begin = 0;
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const int block = block_of(level, indices[i]);
-    if (block != current) {
-      stored = &ensure_block(level, block);
-      begin = block_begin(level, block);
-      current = block;
-    }
-    out[i] = stored->get(indices[i] - begin);
-  }
-  if (indices.empty() && covers(level) && block_count(level) > 0) {
-    ensure_block(level, 0);  // an empty batch still warms the level
-  }
+  db::LevelReadResult read = db::read_block(file_, where, block);
+  RETRA_CHECK_MSG(read.ok, read.error);
+  return std::move(read.level);
 }
 
 }  // namespace retra::serve

@@ -1,6 +1,5 @@
 #include "retra/serve/query_service.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "retra/obs/metrics.hpp"
@@ -10,7 +9,7 @@ namespace retra::serve {
 
 QueryService::QueryService(Passkey, std::unique_ptr<FileSource> file,
                            const QueryServiceConfig& config)
-    : file_(std::move(file)), config_(config) {}
+    : file_(std::move(file)), config_(config), cache_(config.budget_bytes) {}
 
 QueryService::OpenResult QueryService::open(const std::string& path,
                                             const QueryServiceConfig& config) {
@@ -26,60 +25,41 @@ QueryService::OpenResult QueryService::open(const std::string& path,
   return result;
 }
 
-const db::CompactLevel& QueryService::touch(int level, int block) {
-  const BlockKey key{level, block};
-  const bool blocked = file_->blocked();
-  if (const auto it = std::find(lru_.begin(), lru_.end(), key);
-      it != lru_.end()) {
-    lru_.splice(lru_.begin(), lru_, it);
-    if (blocked) {
-      ++stats_.block_hits;
-      RETRA_OBS_INC(obs::Id::kServeBlockHits);
-    }
-    return file_->ensure_block(level, block);
-  }
+QueryService::Stats QueryService::stats() const {
+  Stats stats;
+  static_cast<BlockCache::Stats&>(stats) = cache_.stats();
+  stats.lookups = lookups_;
+  stats.batches = batches_;
+  return stats;
+}
 
-  // Fault the unit in, then shed least-recently-used units until the
-  // budget holds.  The just-touched unit is never the victim, so one
-  // oversized unit still gets served (with everything else evicted).
-  const db::CompactLevel* resident;
-  if (blocked) {
-    RETRA_OBS_SCOPED_TIMER(timer, obs::Id::kServeBlockDecodeSeconds);
-    resident = &file_->ensure_block(level, block);
-    ++stats_.block_faults;
-    RETRA_OBS_INC(obs::Id::kServeBlockFaults);
-  } else {
-    RETRA_OBS_SCOPED_TIMER(timer, obs::Id::kServeFaultSeconds);
-    resident = &file_->ensure_block(level, block);
-    ++stats_.faults;
-    RETRA_OBS_INC(obs::Id::kServeLevelFaults);
+const BlockCache::Block& QueryService::touch(int level, int block) {
+  const std::uint64_t evictions = cache_.stats().evictions;
+  bool faulted = false;
+  const BlockCache::Block& data =
+      cache_.get({level, block}, file_->block_decoded_bytes(level, block),
+                 [&] {
+                   RETRA_OBS_SCOPED_TIMER(timer,
+                                          obs::Id::kServeBlockDecodeSeconds);
+                   faulted = true;
+                   return file_->read_block(level, block);
+                 });
+  if (!faulted) {
+    RETRA_OBS_INC(obs::Id::kServeBlockHits);
+    return data;
   }
-  lru_.push_front(key);
-  while (config_.budget_bytes != 0 &&
-         file_->resident_bytes() > config_.budget_bytes && lru_.size() > 1) {
-    const BlockKey victim = lru_.back();
-    lru_.pop_back();
-    file_->drop_block(victim.level, victim.block);
-    if (blocked) {
-      ++stats_.block_evictions;
-      RETRA_OBS_INC(obs::Id::kServeBlockEvictions);
-    } else {
-      ++stats_.evictions;
-      RETRA_OBS_INC(obs::Id::kServeLevelEvictions);
-    }
-  }
-  stats_.resident_bytes = file_->resident_bytes();
-  RETRA_OBS_SET(obs::Id::kServeResidentBytes, stats_.resident_bytes);
-  if (blocked) {
-    RETRA_OBS_SET(obs::Id::kServeBlockResidentBytes, stats_.resident_bytes);
-  }
-  return *resident;
+  RETRA_OBS_INC(obs::Id::kServeBlockFaults);
+  RETRA_OBS_ADD(obs::Id::kServeBlockEvictions,
+                cache_.stats().evictions - evictions);
+  RETRA_OBS_SET(obs::Id::kServeBlockResidentBytes,
+                cache_.stats().resident_bytes);
+  return data;
 }
 
 Value QueryService::value(int level, idx::Index index) {
   const int block = file_->block_of(level, index);
-  const db::CompactLevel& stored = touch(level, block);
-  ++stats_.lookups;
+  const db::CompactLevel& stored = *touch(level, block);
+  ++lookups_;
   RETRA_OBS_INC(obs::Id::kServeLookups);
   return stored.get(index - file_->block_begin(level, block));
 }
@@ -93,7 +73,7 @@ void QueryService::values(int level, std::span<const idx::Index> indices,
   for (std::size_t i = 0; i < indices.size(); ++i) {
     const int block = file_->block_of(level, indices[i]);
     if (block != current) {
-      stored = &touch(level, block);
+      stored = touch(level, block).get();
       begin = file_->block_begin(level, block);
       current = block;
     }
@@ -103,26 +83,28 @@ void QueryService::values(int level, std::span<const idx::Index> indices,
       file_->block_count(level) > 0) {
     touch(level, 0);  // an empty batch still warms the level
   }
-  ++stats_.batches;
-  stats_.lookups += indices.size();
+  ++batches_;
+  lookups_ += indices.size();
   RETRA_OBS_ADD(obs::Id::kServeLookups, indices.size());
   RETRA_OBS_OBSERVE(obs::Id::kServeBatchSize, indices.size());
 }
 
 std::vector<int> QueryService::resident_levels() const {
   std::vector<int> levels;
-  for (const BlockKey& key : lru_) {
-    if (std::find(levels.begin(), levels.end(), key.level) == levels.end()) {
-      levels.push_back(key.level);
-    }
+  std::vector<bool> seen(static_cast<std::size_t>(num_levels()), false);
+  for (const BlockCache::Key& key : cache_.keys()) {
+    if (seen[static_cast<std::size_t>(key.level)]) continue;
+    seen[static_cast<std::size_t>(key.level)] = true;
+    levels.push_back(key.level);
   }
   return levels;
 }
 
 std::vector<std::pair<int, int>> QueryService::resident_blocks() const {
   std::vector<std::pair<int, int>> blocks;
-  blocks.reserve(lru_.size());
-  for (const BlockKey& key : lru_) blocks.emplace_back(key.level, key.block);
+  for (const BlockCache::Key& key : cache_.keys()) {
+    blocks.emplace_back(key.level, key.block);
+  }
   return blocks;
 }
 

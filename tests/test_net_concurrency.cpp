@@ -9,8 +9,8 @@
 //   * correctness under thrash — every answered value equals the
 //     in-memory oracle, even while the service faults and evicts
 //     continuously and the hot tier promotes concurrently;
-//   * typed shedding — an over-tight fault-debt ceiling refuses with
-//     kBusy, never wedges, and the connection keeps working;
+//   * typed shedding — a full request queue refuses with kBusy, never
+//     wedges, and the connection keeps working;
 //   * accounting — after the dust settles, admitted == answered.
 //
 // CI runs this binary under TSan (tsan_net job): the Store's
@@ -67,9 +67,7 @@ TEST(NetConcurrency, ManyThreadsPipelinedUnderTinyBudgetStayExact) {
   config.workers = 4;
   config.budget_bytes = 1024;  // a sliver: constant fault + evict
   config.hot_bytes = 2048;     // hot tier churns too
-  config.max_queue_depth = 64;
-  // Debt ceiling small enough that bursts of cold-level queries shed.
-  config.shed_fault_debt_bytes = 8 * 1024;
+  config.max_queue_depth = 64;  // pipelined bursts can shed
   auto opened = Server::open(fixture_path(), config);
   ASSERT_TRUE(opened.ok) << opened.error;
   Server& server = *opened.server;
@@ -140,27 +138,32 @@ TEST(NetConcurrency, ManyThreadsPipelinedUnderTinyBudgetStayExact) {
                                 stats.pings + stats.stats_ops);
 }
 
-TEST(NetConcurrency, OverTightDebtCeilingShedsTypedBusy) {
+TEST(NetConcurrency, ZeroQueueDepthShedsTypedBusy) {
   ServerConfig config;
   config.workers = 2;
   config.budget_bytes = 1024;
-  config.hot_bytes = 0;  // no hot tier: every lookup carries fault debt
-  // A ceiling below any level's payload: every cold query sheds.
-  config.shed_fault_debt_bytes = 1;
+  // No request fits in the queue: every one sheds, deterministically.
+  config.max_queue_depth = 0;
   auto opened = Server::open(fixture_path(), config);
   ASSERT_TRUE(opened.ok) << opened.error;
   auto connected = Client::connect("127.0.0.1", opened.server->port());
   ASSERT_TRUE(connected.ok);
   Client& client = *connected.client;
 
-  db::Value out = 0;
-  const auto status = client.query(kMaxLevel, 0, out);
-  EXPECT_EQ(status.code, ErrorCode::kBusy);
-  // The shed is an answer, not a disconnect: PING still round-trips and
-  // the books record the shed.
-  EXPECT_TRUE(client.ping().ok());
-  EXPECT_GE(opened.server->stats().shed, 1u);
-  EXPECT_GE(opened.server->stats().errors, 1u);
+  constexpr int kTries = 5;
+  for (int i = 0; i < kTries; ++i) {
+    db::Value out = 0;
+    EXPECT_EQ(client.query(kMaxLevel, static_cast<idx::Index>(i), out).code,
+              ErrorCode::kBusy);
+  }
+  // The shed is an answer, not a disconnect: the connection keeps
+  // answering typed BUSY (PING is admitted through the same queue) and
+  // the books count every shed.
+  EXPECT_EQ(client.ping().code, ErrorCode::kBusy);
+  const Server::Stats stats = opened.server->stats();
+  EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(kTries + 1));
+  EXPECT_EQ(stats.errors, stats.shed);
+  EXPECT_EQ(stats.requests, 0u);
 }
 
 TEST(NetConcurrency, BatchSweepsRaceSinglesAcrossConnections) {
@@ -209,7 +212,7 @@ TEST(NetConcurrency, BatchSweepsRaceSinglesAcrossConnections) {
         const idx::Index index = rng.below(solved().level(level).size());
         db::Value out = 0;
         Client::Status status;
-        do {  // kBusy is a legitimate shed under the sweeps' fault debt
+        do {  // kBusy is a legitimate shed when the queue fills
           status = connected.client->query(
               static_cast<std::uint32_t>(level), index, out);
         } while (status.code == ErrorCode::kBusy);

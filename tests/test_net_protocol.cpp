@@ -142,8 +142,8 @@ TEST(NetProtocol, StatsReplyRoundTripsEveryField) {
   stats.shed = 8;
   stats.hot_hits = 9;
   stats.lookups = 10;
-  stats.level_faults = 11;
-  stats.level_evictions = 12;
+  stats.faults = 11;
+  stats.evictions = 12;
   stats.resident_bytes = 13;
   stats.level_sizes = {1, 12, 78, 364};
   const Frame frame = decode_one(encode_stats_reply(21, stats));
@@ -160,8 +160,8 @@ TEST(NetProtocol, StatsReplyRoundTripsEveryField) {
   EXPECT_EQ(back.shed, 8u);
   EXPECT_EQ(back.hot_hits, 9u);
   EXPECT_EQ(back.lookups, 10u);
-  EXPECT_EQ(back.level_faults, 11u);
-  EXPECT_EQ(back.level_evictions, 12u);
+  EXPECT_EQ(back.faults, 11u);
+  EXPECT_EQ(back.evictions, 12u);
   EXPECT_EQ(back.resident_bytes, 13u);
   EXPECT_EQ(back.level_sizes, stats.level_sizes);
 }

@@ -7,12 +7,21 @@
 namespace retra::para {
 namespace {
 
+// gtest names each instance after the raw bytes of its parameter, so the
+// padding is spelled out and zeroed: implicit padding holds stack garbage
+// and would give the tests a different name on every run.
 struct Case {
+  Case(PartitionScheme s, std::uint64_t n, int p, std::uint64_t b)
+      : scheme(s), size(n), ranks(p), block(b) {}
+
   PartitionScheme scheme;
+  std::uint32_t pad0 = 0;
   std::uint64_t size;
   int ranks;
+  std::uint32_t pad1 = 0;
   std::uint64_t block;
 };
+static_assert(sizeof(Case) == 32, "Case must have no implicit padding");
 
 class PartitionInvariants : public ::testing::TestWithParam<Case> {};
 

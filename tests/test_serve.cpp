@@ -1,9 +1,9 @@
-// The query-serving layer: ValueSource backends, lazy residency, LRU
-// eviction, and metrics reconciliation.
+// The query-serving layer: ValueSource backends, the block reader, the
+// one block cache (LRU eviction), and metrics reconciliation.
 //
 // The anchor is the backend-agreement sweep: every value of the full
 // awari database up to 6 stones must be identical through the dense
-// adapter, the bit-packed adapter, a file served from either on-disk
+// adapter, the bit-packed adapter, a file served from every on-disk
 // format, and a budget-squeezed QueryService — the serving stack may
 // change representation, never answers.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "retra/db/db_io.hpp"
 #include "retra/game/awari_level.hpp"
 #include "retra/ra/builder.hpp"
+#include "retra/serve/block_cache.hpp"
 #include "retra/serve/query_service.hpp"
 
 namespace retra::serve {
@@ -72,12 +73,16 @@ TEST(ValueSource, CompactAdapterAgreesEverywhere) {
   expect_full_agreement(source, solved());
 }
 
+// The file-backed ValueSource is an unbudgeted QueryService: every block
+// FileSource reads stays cached, so these sweeps check the reader alone.
 TEST(ValueSource, FileSourceAgreesOnBothFormats) {
   for (const bool pack : {false, true}) {
     const std::string path = save_solved("retra_serve_agree.db", pack);
-    auto opened = FileSource::open(path);
+    auto opened = QueryService::open(path);
     ASSERT_TRUE(opened.ok) << opened.error;
-    expect_full_agreement(*opened.source, solved());
+    ASSERT_EQ(opened.service->index().version, pack ? 2 : 1);
+    expect_full_agreement(*opened.service, solved());
+    EXPECT_EQ(opened.service->stats().evictions, 0u);
     std::remove(path.c_str());
   }
 }
@@ -85,10 +90,11 @@ TEST(ValueSource, FileSourceAgreesOnBothFormats) {
 TEST(ValueSource, FileSourceAgreesOnCompressedFormat) {
   const std::string path =
       save_solved_compressed("retra_serve_agree_c.db", 1024);
-  auto opened = FileSource::open(path);
+  auto opened = QueryService::open(path);
   ASSERT_TRUE(opened.ok) << opened.error;
-  ASSERT_TRUE(opened.source->blocked());
-  expect_full_agreement(*opened.source, solved());
+  ASSERT_EQ(opened.service->index().version, 3);
+  expect_full_agreement(*opened.service, solved());
+  EXPECT_EQ(opened.service->stats().evictions, 0u);
   std::remove(path.c_str());
 }
 
@@ -103,14 +109,11 @@ TEST(ValueSource, QueryServiceCompressedUnderBudgetAgreesEverywhere) {
   config.budget_bytes = 2048;
   auto opened = QueryService::open(path, config);
   ASSERT_TRUE(opened.ok) << opened.error;
-  ASSERT_TRUE(opened.service->blocked());
+  ASSERT_EQ(opened.service->index().version, 3);
   expect_full_agreement(*opened.service, solved());
-  const QueryService::Stats& stats = opened.service->stats();
-  EXPECT_GT(stats.block_faults, 0u);
-  EXPECT_GT(stats.block_evictions, 0u);
-  // Block-granular files move the block counters, never the level ones.
-  EXPECT_EQ(stats.faults, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
+  const QueryService::Stats stats = opened.service->stats();
+  EXPECT_GT(stats.faults, 0u);
+  EXPECT_GT(stats.evictions, 0u);
   std::remove(path.c_str());
 }
 
@@ -161,30 +164,42 @@ TEST(ValueSource, CoversMatchesStoredLevels) {
   EXPECT_FALSE(source.covers(-1));
 }
 
-TEST(FileSource, FaultsLazilyAndDropsExplicitly) {
+using Keys = std::vector<BlockCache::Key>;
+
+/// Reads block `block` of `level` through `cache`, as a serving caller
+/// does.
+const BlockCache::Block& cached_block(BlockCache& cache, FileSource& source,
+                                      int level, int block) {
+  return cache.get({level, block}, source.block_decoded_bytes(level, block),
+                   [&] { return source.read_block(level, block); });
+}
+
+TEST(FileSource, FaultsLazilyAndRefaultsAfterEviction) {
   const std::string path = save_solved("retra_serve_lazy.db", true);
   auto opened = FileSource::open(path);
   ASSERT_TRUE(opened.ok) << opened.error;
   FileSource& source = *opened.source;
-  EXPECT_EQ(source.resident_bytes(), 0u);
-  EXPECT_EQ(source.faults(), 0u);
-  for (int level = 0; level < source.num_levels(); ++level) {
-    EXPECT_FALSE(source.is_resident(level));
-  }
+  // A packed level is one block; budget exactly level 5.
+  ASSERT_EQ(source.block_count(5), 1);
+  BlockCache cache(source.block_decoded_bytes(5, 0));
+  EXPECT_TRUE(cache.keys().empty());
 
-  (void)source.value(5, 0);
-  EXPECT_TRUE(source.is_resident(5));
-  EXPECT_EQ(source.faults(), 1u);
-  EXPECT_EQ(source.resident_bytes(), source.level_bytes(5));
+  const BlockCache::Block& level5 = cached_block(cache, source, 5, 0);
+  EXPECT_EQ(level5->size(), solved().level(5).size());
+  EXPECT_EQ(level5->get(0), solved().value(5, 0));
+  EXPECT_EQ(cache.keys(), (Keys{{5, 0}}));
+  EXPECT_EQ(cache.stats().faults, 1u);
+  EXPECT_EQ(cache.stats().resident_bytes, source.block_decoded_bytes(5, 0));
 
-  (void)source.value(5, 1);  // same level: no second fault
-  EXPECT_EQ(source.faults(), 1u);
+  (void)cached_block(cache, source, 5, 0);  // cached: no second read
+  EXPECT_EQ(cache.stats().faults, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 
-  source.drop_level(5);
-  EXPECT_FALSE(source.is_resident(5));
-  EXPECT_EQ(source.resident_bytes(), 0u);
-  (void)source.value(5, 0);  // faults back in
-  EXPECT_EQ(source.faults(), 2u);
+  (void)cached_block(cache, source, 4, 0);  // no room: level 5 goes
+  EXPECT_EQ(cache.keys(), (Keys{{4, 0}}));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  (void)cached_block(cache, source, 5, 0);  // read back in
+  EXPECT_EQ(cache.stats().faults, 3u);
   std::remove(path.c_str());
 }
 
@@ -194,32 +209,33 @@ TEST(FileSource, FaultsSingleBlocksOnCompressedFiles) {
   auto opened = FileSource::open(path);
   ASSERT_TRUE(opened.ok) << opened.error;
   FileSource& source = *opened.source;
-  ASSERT_TRUE(source.blocked());
+  ASSERT_EQ(source.index().version, 3);
   ASSERT_GE(source.block_count(6), 2);
-  EXPECT_EQ(source.resident_bytes(), 0u);
+  BlockCache cache(0);
 
-  // A point lookup faults exactly one block, not the level.
-  (void)source.value(6, 0);
-  EXPECT_EQ(source.faults(), 1u);
-  EXPECT_TRUE(source.is_block_resident(6, 0));
-  EXPECT_FALSE(source.is_block_resident(6, 1));
-  EXPECT_FALSE(source.is_resident(6));
-  EXPECT_EQ(source.resident_bytes(), source.block_bytes(6, 0));
+  // A point lookup reads exactly one block, not the level.
+  const BlockCache::Block& first =
+      cached_block(cache, source, 6, source.block_of(6, 0));
+  EXPECT_EQ(first->size(), 512u);
+  EXPECT_EQ(first->get(1), solved().value(6, 1));
+  EXPECT_EQ(cache.stats().faults, 1u);
+  EXPECT_EQ(cache.keys(), (Keys{{6, 0}}));
+  EXPECT_EQ(cache.stats().resident_bytes, source.block_decoded_bytes(6, 0));
 
-  // Another position in the same block: no second fault.
-  (void)source.value(6, 1);
-  EXPECT_EQ(source.faults(), 1u);
+  // Another position in the same block: no second read.
+  (void)cached_block(cache, source, 6, source.block_of(6, 1));
+  EXPECT_EQ(cache.stats().faults, 1u);
 
-  // A position in the next block faults just that block.
-  (void)source.value(6, source.block_begin(6, 1));
-  EXPECT_EQ(source.faults(), 2u);
-  EXPECT_EQ(source.resident_bytes(),
-            source.block_bytes(6, 0) + source.block_bytes(6, 1));
-
-  source.drop_block(6, 0);
-  EXPECT_FALSE(source.is_block_resident(6, 0));
-  EXPECT_TRUE(source.is_block_resident(6, 1));
-  EXPECT_EQ(source.resident_bytes(), source.block_bytes(6, 1));
+  // A position in the next block reads just that block, indexed from its
+  // first position.
+  const std::uint64_t begin = source.block_begin(6, 1);
+  const BlockCache::Block& second =
+      cached_block(cache, source, 6, source.block_of(6, begin));
+  EXPECT_EQ(second->get(0), solved().value(6, begin));
+  EXPECT_EQ(cache.stats().faults, 2u);
+  EXPECT_EQ(cache.stats().resident_bytes,
+            source.block_decoded_bytes(6, 0) +
+                source.block_decoded_bytes(6, 1));
   std::remove(path.c_str());
 }
 
@@ -285,7 +301,7 @@ TEST(QueryService, BlockEvictionOrderIsDeterministicLru) {
   auto probe = QueryService::open(path);
   ASSERT_TRUE(probe.ok) << probe.error;
   QueryService& probe_service = *probe.service;
-  ASSERT_TRUE(probe_service.blocked());
+  ASSERT_EQ(probe_service.index().version, 3);
   ASSERT_GE(probe_service.block_count(6), 4);
   // Every awari level through 6 stones packs at 4 bits, so a full block
   // decodes to 512 / 2 bytes; budget three of them, not a fourth.
@@ -305,13 +321,13 @@ TEST(QueryService, BlockEvictionOrderIsDeterministicLru) {
   touch_block(service, 2);
   using Blocks = std::vector<std::pair<int, int>>;
   EXPECT_EQ(service.resident_blocks(), (Blocks{{6, 2}, {6, 1}, {6, 0}}));
-  EXPECT_EQ(service.stats().block_evictions, 0u);
+  EXPECT_EQ(service.stats().evictions, 0u);
 
   // Touch block 0 again, then fault block 3: the LRU victim must be 1.
   touch_block(service, 0);
   touch_block(service, 3);
   EXPECT_EQ(service.resident_blocks(), (Blocks{{6, 3}, {6, 0}, {6, 2}}));
-  EXPECT_EQ(service.stats().block_evictions, 1u);
+  EXPECT_EQ(service.stats().evictions, 1u);
 
   // Replaying the same query sequence on a fresh service reproduces the
   // same block residency: eviction depends only on the queries.
@@ -323,8 +339,8 @@ TEST(QueryService, BlockEvictionOrderIsDeterministicLru) {
   EXPECT_EQ(replay.service->resident_blocks(), service.resident_blocks());
   EXPECT_EQ(replay.service->stats().resident_bytes,
             service.stats().resident_bytes);
-  EXPECT_EQ(replay.service->stats().block_evictions,
-            service.stats().block_evictions);
+  EXPECT_EQ(replay.service->stats().evictions,
+            service.stats().evictions);
   std::remove(path.c_str());
 }
 
@@ -336,7 +352,7 @@ TEST(QueryService, BlockStatsReconcileWithObsMetricsAndArtifact) {
   auto opened = QueryService::open(path, config);
   ASSERT_TRUE(opened.ok) << opened.error;
   QueryService& service = *opened.service;
-  ASSERT_TRUE(service.blocked());
+  ASSERT_EQ(service.index().version, 3);
 
   const obs::Snapshot before = obs::snapshot();
   (void)service.value(6, 0);
@@ -348,22 +364,17 @@ TEST(QueryService, BlockStatsReconcileWithObsMetricsAndArtifact) {
   service.values(6, indices, out);
   const obs::Snapshot delta = obs::snapshot() - before;
 
-  const QueryService::Stats& stats = service.stats();
+  const QueryService::Stats stats = service.stats();
   EXPECT_EQ(stats.lookups, 202u);
   EXPECT_EQ(stats.batches, 2u);
-  EXPECT_GT(stats.block_hits, 0u);
-  EXPECT_GT(stats.block_faults, 0u);
-  EXPECT_EQ(stats.faults, 0u);  // block-granular: level counters idle
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.faults, 0u);
 #if RETRA_METRICS_ENABLED
   EXPECT_EQ(delta[obs::Id::kServeLookups].value, stats.lookups);
-  EXPECT_EQ(delta[obs::Id::kServeBlockHits].value, stats.block_hits);
-  EXPECT_EQ(delta[obs::Id::kServeBlockFaults].value, stats.block_faults);
-  EXPECT_EQ(delta[obs::Id::kServeBlockEvictions].value,
-            stats.block_evictions);
-  EXPECT_EQ(delta[obs::Id::kServeBlockDecodeSeconds].count,
-            stats.block_faults);
-  EXPECT_EQ(delta[obs::Id::kServeLevelFaults].value, 0u);
-  EXPECT_EQ(delta[obs::Id::kServeLevelEvictions].value, 0u);
+  EXPECT_EQ(delta[obs::Id::kServeBlockHits].value, stats.hits);
+  EXPECT_EQ(delta[obs::Id::kServeBlockFaults].value, stats.faults);
+  EXPECT_EQ(delta[obs::Id::kServeBlockEvictions].value, stats.evictions);
+  EXPECT_EQ(delta[obs::Id::kServeBlockDecodeSeconds].count, stats.faults);
 #endif  // RETRA_METRICS_ENABLED
 
   bench::BenchRunMeta meta;
@@ -415,19 +426,20 @@ TEST(QueryService, StatsReconcileWithObsMetricsAndArtifact) {
   service.values(6, indices, out);
   const obs::Snapshot delta = obs::snapshot() - before;
 
-  const QueryService::Stats& stats = service.stats();
+  const QueryService::Stats stats = service.stats();
   EXPECT_EQ(stats.lookups, 202u);
   EXPECT_EQ(stats.batches, 2u);
 #if RETRA_METRICS_ENABLED
   // The obs delta tells the same story as the local mirror (under
   // -DRETRA_METRICS=OFF the macros publish nothing; only the local Stats
-  // mirror and the artifact schema below are checked).
+  // mirror and the artifact schema below are checked).  A packed level
+  // is one block, so the block-cache family counts it.
   EXPECT_EQ(delta[obs::Id::kServeLookups].value, stats.lookups);
-  EXPECT_EQ(delta[obs::Id::kServeLevelFaults].value, stats.faults);
-  EXPECT_EQ(delta[obs::Id::kServeLevelEvictions].value, stats.evictions);
+  EXPECT_EQ(delta[obs::Id::kServeBlockFaults].value, stats.faults);
+  EXPECT_EQ(delta[obs::Id::kServeBlockEvictions].value, stats.evictions);
   EXPECT_EQ(delta[obs::Id::kServeBatchSize].count, stats.batches);
   EXPECT_EQ(delta[obs::Id::kServeBatchSize].sum, 200u);
-  EXPECT_EQ(delta[obs::Id::kServeFaultSeconds].count, stats.faults);
+  EXPECT_EQ(delta[obs::Id::kServeBlockDecodeSeconds].count, stats.faults);
 #endif  // RETRA_METRICS_ENABLED
 
   // And the same delta renders as a valid retra-bench-v1 micro artifact —
@@ -457,6 +469,82 @@ TEST(QueryService, UnlimitedBudgetNeverEvicts) {
   EXPECT_EQ(service.stats().resident_bytes,
             service.index().total_payload_bytes());
   std::remove(path.c_str());
+}
+
+/// A synthetic decoded block costing exactly `bytes` resident bytes.
+db::CompactLevel synthetic_block(std::uint64_t bytes) {
+  return db::CompactLevel::from_packed(2 * bytes, 4, 0,
+                                       std::vector<std::uint8_t>(bytes));
+}
+
+/// Gets `key` from `cache`, loading a synthetic block of `bytes` on a
+/// miss.
+const BlockCache::Block& get_synthetic(BlockCache& cache,
+                                       BlockCache::Key key,
+                                       std::uint64_t bytes) {
+  return cache.get(key, bytes, [bytes] { return synthetic_block(bytes); });
+}
+
+TEST(BlockCache, RetouchedBlockOutlivesTheLruVictim) {
+  BlockCache cache(300);
+  get_synthetic(cache, {1, 0}, 100);
+  get_synthetic(cache, {1, 1}, 100);
+  get_synthetic(cache, {2, 0}, 100);
+  EXPECT_EQ(cache.keys(), (Keys{{2, 0}, {1, 1}, {1, 0}}));
+  // Touch {1, 0} again, then fault a fourth block: the victim is {1, 1}.
+  get_synthetic(cache, {1, 0}, 100);
+  get_synthetic(cache, {3, 0}, 100);
+  EXPECT_EQ(cache.keys(), (Keys{{3, 0}, {1, 0}, {2, 0}}));
+}
+
+TEST(BlockCache, EvictsBeforeLoadingSoResidencyNeverExceedsTheBudget) {
+  constexpr std::uint64_t kBudget = 250;
+  BlockCache cache(kBudget);
+  int loads = 0;
+  for (int block = 0; block < 8; ++block) {
+    const std::uint64_t bytes = 60 + 20 * static_cast<std::uint64_t>(block % 3);
+    (void)cache.get({0, block}, bytes, [&] {
+      // Room is made before the load runs, not after it.
+      EXPECT_LE(cache.stats().resident_bytes + bytes, kBudget);
+      ++loads;
+      return synthetic_block(bytes);
+    });
+    EXPECT_LE(cache.stats().resident_bytes, kBudget);
+  }
+  EXPECT_EQ(loads, 8);
+  EXPECT_LE(cache.stats().peak_resident_bytes, kBudget);
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(BlockCache, OversizedBlockIsServedAlone) {
+  BlockCache cache(100);
+  get_synthetic(cache, {0, 0}, 40);
+  get_synthetic(cache, {0, 1}, 40);
+  // Larger than the whole budget: everything else goes, the block stays.
+  const BlockCache::Block& big = get_synthetic(cache, {1, 0}, 400);
+  EXPECT_EQ(big->memory_bytes(), 400u);
+  EXPECT_EQ(cache.keys(), (Keys{{1, 0}}));
+  EXPECT_EQ(cache.stats().resident_bytes, 400u);
+  // The next fault evicts it in turn.
+  get_synthetic(cache, {0, 0}, 40);
+  EXPECT_EQ(cache.keys(), (Keys{{0, 0}}));
+  EXPECT_EQ(cache.stats().resident_bytes, 40u);
+}
+
+TEST(BlockCache, CountsHitsFaultsAndEvictionsExactly) {
+  BlockCache cache(200);
+  for (const int block : {0, 1, 0, 2, 0, 1, 1}) {
+    get_synthetic(cache, {5, block}, 100);
+  }
+  // 0 F, 1 F, 0 H, 2 F (evicts 1), 0 H, 1 F (evicts 2), 1 H.
+  const BlockCache::Stats& stats = cache.stats();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.faults, 4u);
+  EXPECT_EQ(stats.fault_bytes, 400u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.resident_bytes, 200u);
+  EXPECT_EQ(stats.peak_resident_bytes, 200u);
+  EXPECT_EQ(cache.keys(), (Keys{{5, 1}, {5, 0}}));
 }
 
 }  // namespace

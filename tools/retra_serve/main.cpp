@@ -168,16 +168,16 @@ void print_remote_index(const std::string& target,
 void print_remote_stats(const net::StatsReply& stats) {
   std::printf(
       "\nserver: %llu connections, %llu requests, %llu errors (%llu "
-      "shed), %llu hot hits; service: %llu lookups, %llu faults, %llu "
-      "evictions, %llu bytes resident\n",
+      "shed), %llu hot hits; service: %llu lookups; block cache: %llu "
+      "faults, %llu evictions, %llu bytes resident\n",
       static_cast<unsigned long long>(stats.connections),
       static_cast<unsigned long long>(stats.requests),
       static_cast<unsigned long long>(stats.errors),
       static_cast<unsigned long long>(stats.shed),
       static_cast<unsigned long long>(stats.hot_hits),
       static_cast<unsigned long long>(stats.lookups),
-      static_cast<unsigned long long>(stats.level_faults),
-      static_cast<unsigned long long>(stats.level_evictions),
+      static_cast<unsigned long long>(stats.faults),
+      static_cast<unsigned long long>(stats.evictions),
       static_cast<unsigned long long>(stats.resident_bytes));
 }
 
@@ -232,24 +232,13 @@ int run_connected(const std::string& target, const support::Cli& cli) {
 }
 
 void print_stats(const serve::QueryService& service) {
-  const auto& stats = service.stats();
-  if (service.blocked()) {
-    std::printf(
-        "\nserving: %llu lookups in %llu batches; block cache: %llu hits, "
-        "%llu faults, %llu evictions, %llu bytes resident\n",
-        static_cast<unsigned long long>(stats.lookups),
-        static_cast<unsigned long long>(stats.batches),
-        static_cast<unsigned long long>(stats.block_hits),
-        static_cast<unsigned long long>(stats.block_faults),
-        static_cast<unsigned long long>(stats.block_evictions),
-        static_cast<unsigned long long>(stats.resident_bytes));
-    return;
-  }
+  const serve::QueryService::Stats stats = service.stats();
   std::printf(
-      "\nserving: %llu lookups in %llu batches, %llu level faults, "
-      "%llu evictions, %llu bytes resident\n",
+      "\nserving: %llu lookups in %llu batches; block cache: %llu hits, "
+      "%llu faults, %llu evictions, %llu bytes resident\n",
       static_cast<unsigned long long>(stats.lookups),
       static_cast<unsigned long long>(stats.batches),
+      static_cast<unsigned long long>(stats.hits),
       static_cast<unsigned long long>(stats.faults),
       static_cast<unsigned long long>(stats.evictions),
       static_cast<unsigned long long>(stats.resident_bytes));
@@ -266,7 +255,7 @@ int main(int argc, char** argv) {
   cli.flag("connect", "",
            "host:port of a running retra_server to query instead of a "
            "local file");
-  cli.flag("budget-kb", "0", "resident-level budget (0 = unlimited)");
+  cli.flag("budget-kb", "0", "block-cache budget (0 = unlimited)");
   cli.flag("selfcheck", "0",
            "compare this many random samples against an in-memory rebuild");
   cli.flag("seed", "7", "selfcheck sampling seed");

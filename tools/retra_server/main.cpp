@@ -66,11 +66,9 @@ int main(int argc, char** argv) {
   cli.flag("port-file", "",
            "write the bound port here once the server is accepting");
   cli.flag("workers", "2", "lookup worker threads");
-  cli.flag("budget-kb", "0", "QueryService resident budget (0 = unlimited)");
+  cli.flag("budget-kb", "0", "block-cache budget (0 = unlimited)");
   cli.flag("hot-kb", "1024", "shared hot-tier budget (0 disables the tier)");
   cli.flag("max-queue", "1024", "queued requests before BUSY shedding");
-  cli.flag("shed-debt-kb", "0",
-           "fault-debt shed ceiling (0 derives 8x the budget)");
   cli.parse(argc, argv);
 
   const std::string path = cli.str("db");
@@ -87,8 +85,6 @@ int main(int argc, char** argv) {
   config.hot_bytes = static_cast<std::uint64_t>(cli.integer("hot-kb")) * 1024;
   config.max_queue_depth =
       static_cast<std::size_t>(cli.integer("max-queue"));
-  config.shed_fault_debt_bytes =
-      static_cast<std::uint64_t>(cli.integer("shed-debt-kb")) * 1024;
 
   auto opened = net::Server::open(path, config);
   if (!opened.ok) {
