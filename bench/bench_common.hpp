@@ -18,6 +18,7 @@
 #include "retra/sim/projection.hpp"
 #include "retra/support/cli.hpp"
 #include "retra/support/format.hpp"
+#include "retra/support/numeric.hpp"
 #include "retra/support/table.hpp"
 
 namespace retra::bench {
@@ -169,15 +170,16 @@ inline std::string bench_artifact_json(const BenchRunMeta& meta,
   double total_time = 0.0;
   w.key("levels").begin_array();
   for (const para::LevelRunInfo& info : run.levels) {
+    // time_s is the level's virtual cluster time, not host wall time.
+    const double time_s = run.timings[support::to_size(info.level)].time_s;
     w.begin_object();
     w.kv("level", info.level);
-    detail::write_stats_fields(w, info.total, info.size, info.rounds,
-                               info.build_seconds);
+    detail::write_stats_fields(w, info.total, info.size, info.rounds, time_s);
     w.end_object();
     total += info.total;
     positions += info.size;
     rounds += info.rounds;
-    total_time += info.build_seconds;
+    total_time += time_s;
   }
   w.end_array();
   w.key("totals").begin_object();

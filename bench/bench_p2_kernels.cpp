@@ -14,6 +14,7 @@
 //  (c) model: the 1995 cluster priced at vector_lanes = 1 (the paper's
 //      scalar SPARCs) vs this host's width — the DES sweep term shrinks
 //      by exactly the lane count; everything else is untouched.
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -117,13 +118,13 @@ int main(int argc, char** argv) {
   const std::vector<std::int16_t> ref_replaced_data = scratch;
   const std::size_t ref_eq2 = exec::simd::collect_eq2(
       values.data(), db::kUnknown, best.data(), mag, n, hits.data());
-  const std::vector<std::uint32_t> ref_eq2_hits(hits.begin(),
-                                                hits.begin() + ref_eq2);
+  const std::vector<std::uint32_t> ref_eq2_hits(
+      hits.begin(), hits.begin() + static_cast<std::ptrdiff_t>(ref_eq2));
   const std::size_t ref_seed = exec::simd::collect_seed_candidates(
       values.data(), db::kUnknown, cnt.data(), best.data(), mag, n,
       hits.data());
-  const std::vector<std::uint32_t> ref_seed_hits(hits.begin(),
-                                                 hits.begin() + ref_seed);
+  const std::vector<std::uint32_t> ref_seed_hits(
+      hits.begin(), hits.begin() + static_cast<std::ptrdiff_t>(ref_seed));
 
   std::vector<KernelRow> kernel_rows;
   for (const auto backend :

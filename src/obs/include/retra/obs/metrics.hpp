@@ -267,7 +267,7 @@ inline constexpr std::array<Desc, kMetricCount> kCatalog = {{
     {"driver.ranks", Kind::kGauge, "ranks", "para.driver", "F1",
      "processor count of the most recent build"},
     {"driver.levels_built", Kind::kCounter, "levels", "para.driver", "T2",
-     "levels completed by build_parallel / build_parallel_simulated"},
+     "levels completed by the shared level loop (host and simulated builds)"},
     {"driver.positions", Kind::kCounter, "positions", "para.driver", "T1",
      "positions solved across completed levels"},
     {"driver.rounds", Kind::kCounter, "rounds", "para.driver", "T2",

@@ -3,16 +3,13 @@
 // Engines expose three calls — superstep(), advance(), done() — and never
 // block, so the same engine code runs under
 //   * run_bsp_sequential: one thread executes all ranks round-robin;
-//     deterministic, and the skeleton the cluster simulator extends with
-//     a timing model;
+//     deterministic, and the loop the cluster simulator prices through
+//     its round hooks (see retra/sim/sim_driver.hpp);
 //   * run_bsp_threads: one OS thread per rank with a std::barrier per
 //     round — the "real" distributed execution.
 //
-// Phase-quiescence rule (both drivers): a round in which every rank is
-// ready, nobody did local work, nobody appended a record, and the
-// cumulative record counts balance (nothing in flight) ends the phase;
-// the driver then calls advance() on every engine, or stops when they all
-// report done().
+// Both end a phase by the one rule in PhaseQuiescence; the driver then
+// calls advance() on every engine, or stops when they all report done().
 #pragma once
 
 #include <atomic>
@@ -84,11 +81,38 @@ inline int effective_phase_threads(int requested, int inherited, int ranks,
 // rank at the next synchronisation point, join, and rethrow — so the
 // caller always observes a clean single exception with all threads gone.
 
-template <typename Engine>
-std::uint64_t run_bsp_sequential(std::vector<std::unique_ptr<Engine>>& engines) {
+/// The phase-quiescence rule, fed one round's global report at a time: a
+/// round in which every rank is ready, nobody did local work, nobody
+/// appended a record, and the cumulative record counts balance (nothing
+/// in flight) ends the phase.
+class PhaseQuiescence {
+ public:
+  bool round_ends_phase(const StepReport& round) {
+    cum_sent_ += round.records_sent;
+    cum_received_ += round.records_received;
+    return round.ready && round.work == 0 && round.records_sent == 0 &&
+           cum_sent_ == cum_received_;
+  }
+
+ private:
+  std::uint64_t cum_sent_ = 0;
+  std::uint64_t cum_received_ = 0;
+};
+
+/// Round hooks of run_bsp_sequential: after_step(rank) runs right after
+/// that rank's superstep (still as its actor), close_round() once every
+/// rank has stepped, before the quiescence decision.  The cluster
+/// simulator prices its rounds through them; the default does nothing.
+struct NoRoundHooks {
+  void after_step(std::size_t /*rank*/) {}
+  void close_round() {}
+};
+
+template <typename Engine, typename Hooks = NoRoundHooks>
+std::uint64_t run_bsp_sequential(std::vector<std::unique_ptr<Engine>>& engines,
+                                 Hooks&& hooks = {}) {
   const support::ScopedPhase phase(support::BspPhase::kCompute);
-  std::uint64_t cum_sent = 0;
-  std::uint64_t cum_received = 0;
+  PhaseQuiescence quiescence;
   std::uint64_t rounds = 0;
   while (true) {
     ++rounds;
@@ -97,13 +121,10 @@ std::uint64_t run_bsp_sequential(std::vector<std::unique_ptr<Engine>>& engines) 
     for (std::size_t rank = 0; rank < engines.size(); ++rank) {
       const support::ScopedActor actor(static_cast<int>(rank));
       global += engines[rank]->superstep();
+      hooks.after_step(rank);
     }
-    cum_sent += global.records_sent;
-    cum_received += global.records_received;
-    const bool quiescent = global.ready && global.work == 0 &&
-                           global.records_sent == 0 &&
-                           cum_sent == cum_received;
-    if (!quiescent) continue;
+    hooks.close_round();
+    if (!quiescence.round_ends_phase(global)) continue;
     if (engines.front()->done()) break;
     for (std::size_t rank = 0; rank < engines.size(); ++rank) {
       const support::ScopedActor actor(static_cast<int>(rank));
@@ -118,8 +139,7 @@ std::uint64_t run_bsp_threads(std::vector<std::unique_ptr<Engine>>& engines) {
   const support::ScopedPhase phase(support::BspPhase::kCompute);
   const std::size_t ranks = engines.size();
   std::vector<StepReport> reports(ranks);
-  std::uint64_t cum_sent = 0;
-  std::uint64_t cum_received = 0;
+  PhaseQuiescence quiescence;
   std::uint64_t rounds = 0;
   enum class Decision { kContinue, kAdvance, kStop };
   Decision decision = Decision::kContinue;
@@ -139,12 +159,7 @@ std::uint64_t run_bsp_threads(std::vector<std::unique_ptr<Engine>>& engines) {
     }
     StepReport global = StepReport::reduction_identity();
     for (const StepReport& report : reports) global += report;
-    cum_sent += global.records_sent;
-    cum_received += global.records_received;
-    const bool quiescent = global.ready && global.work == 0 &&
-                           global.records_sent == 0 &&
-                           cum_sent == cum_received;
-    if (!quiescent) {
+    if (!quiescence.round_ends_phase(global)) {
       decision = Decision::kContinue;
     } else if (engines.front()->done()) {
       decision = Decision::kStop;

@@ -114,6 +114,7 @@ struct StoreStats {
     delta.queue_spilled_records -= base.queue_spilled_records;
     return delta;
   }
+  bool operator==(const StoreStats&) const = default;
 };
 
 /// The in-progress arrays of the level under construction; owned by the

@@ -101,9 +101,9 @@ struct LevelRunInfo {
 
 /// Sums the per-rank engine stats and work meters into the level totals
 /// and publishes the level to the obs registry.  The single place these
-/// numbers are produced: build_parallel, build_parallel_simulated, and
-/// through them every bench table and BENCH_*.json artifact read the same
-/// counters (see docs/METRICS.md).
+/// numbers are produced: build_levels calls it for build_parallel and
+/// build_parallel_simulated alike, and through them every bench table and
+/// BENCH_*.json artifact reads the same counters (see docs/METRICS.md).
 inline void finalize_level_info(LevelRunInfo& info) {
   for (const EngineStats& stats : info.per_rank) info.total += stats;
   for (const msg::WorkMeter& meter : info.work_per_rank) {
@@ -168,9 +168,19 @@ struct ParallelResult {
   }
 };
 
-template <typename Family>
-ParallelResult build_parallel(const Family& family, int max_level,
-                              const ParallelConfig& config) {
+/// The level loop of every build: solves levels bottom-up with engines on
+/// `world`'s endpoints (or on `faults`' reliable stacks over them when
+/// non-null), and per level takes the meter/store/fault snapshots, runs
+/// the engines, replicates or seals the level, records the deltas,
+/// checkpoints, and finalizes the level's LevelRunInfo.  `run(level,
+/// engines)` drives one engine set to completion and returns its rounds:
+/// build_parallel picks a host driver, build_parallel_simulated prices the
+/// sequential driver on the cluster model.  A level's rounds and work
+/// cover everything it did, the replication exchange included.
+template <typename Family, typename World, typename Run>
+ParallelResult build_levels(const Family& family, int max_level,
+                            const ParallelConfig& config, World& world,
+                            msg::FaultWorld* faults, Run&& run) {
   const std::size_t nranks = support::to_size(config.ranks);
   RETRA_OBS_SET(obs::Id::kDriverRanks,
                 static_cast<std::uint64_t>(config.ranks));
@@ -205,41 +215,26 @@ ParallelResult build_parallel(const Family& family, int max_level,
         config.replicate_lower, config.store);
   }
   DistributedDatabase& ddb = *result.database;
-  msg::ThreadWorld world(config.ranks);
-  const int threads_per_rank =
-      effective_threads_per_rank(config.threads_per_rank, config.ranks,
-                                 config.use_threads, config.oversubscribe);
-  const int threads_scan = effective_phase_threads(
-      config.threads_scan, threads_per_rank, config.ranks, config.use_threads,
-      config.oversubscribe);
-  const int threads_drain = effective_phase_threads(
-      config.threads_drain, threads_per_rank, config.ranks,
-      config.use_threads, config.oversubscribe);
-
-  // With an active fault plan the engines run on FaultyComm + ReliableComm
-  // stacks.  The stacks live for the whole build (not per level) so that
-  // late acknowledgements and retransmissions crossing a level boundary
-  // stay consistent with the sequence-number state.
-  std::unique_ptr<msg::FaultWorld> faults;
-  if (config.fault_plan.active()) {
-    faults = std::make_unique<msg::FaultWorld>(world, config.fault_plan,
-                                               config.reliable);
-  }
   auto endpoint = [&](int rank) -> msg::Comm& {
     return faults ? faults->endpoint(rank) : world.endpoint(rank);
   };
+  EngineConfig engine_config;
+  engine_config.combine_bytes = config.combine_bytes;
+  engine_config.threads_per_rank =
+      effective_threads_per_rank(config.threads_per_rank, config.ranks,
+                                 config.use_threads, config.oversubscribe);
+  engine_config.threads_scan = effective_phase_threads(
+      config.threads_scan, engine_config.threads_per_rank, config.ranks,
+      config.use_threads, config.oversubscribe);
+  engine_config.threads_drain = effective_phase_threads(
+      config.threads_drain, engine_config.threads_per_rank, config.ranks,
+      config.use_threads, config.oversubscribe);
 
   for (int level = first_level; level <= max_level; ++level) {
     decltype(auto) game = family.level(level);
     using Game = std::remove_cvref_t<decltype(game)>;
     const Partition partition = ddb.make_partition(game.size());
     if (faults) faults->set_level(level);
-
-    EngineConfig engine_config;
-    engine_config.combine_bytes = config.combine_bytes;
-    engine_config.threads_per_rank = threads_per_rank;
-    engine_config.threads_scan = threads_scan;
-    engine_config.threads_drain = threads_drain;
 
     std::vector<std::unique_ptr<RankEngine<Game>>> engines;
     engines.reserve(nranks);
@@ -248,27 +243,20 @@ ParallelResult build_parallel(const Family& family, int max_level,
           game, partition, endpoint(rank), ddb, engine_config));
     }
 
-    // Meters and fault counters accumulate across levels on the shared
-    // endpoints; keep pre-level snapshots so the level's work is reported
-    // as a delta.
+    // Meters, stores and fault counters accumulate across levels; keep
+    // pre-level snapshots so the level's activity is reported as a delta.
     std::vector<msg::WorkMeter> meters_before;
-    meters_before.reserve(nranks);
-    for (int rank = 0; rank < config.ranks; ++rank) {
-      meters_before.push_back(endpoint(rank).meter());
-    }
+    std::vector<StoreStats> store_before;
     std::vector<msg::FaultStats> faults_before(nranks);
     std::vector<msg::ReliableStats> reliability_before(nranks);
-    if (faults) {
-      for (int rank = 0; rank < config.ranks; ++rank) {
-        const std::size_t i = support::to_size(rank);
+    for (int rank = 0; rank < config.ranks; ++rank) {
+      const std::size_t i = support::to_size(rank);
+      meters_before.push_back(endpoint(rank).meter());
+      store_before.push_back(ddb.store(rank).stats());
+      if (faults) {
         faults_before[i] = faults->faulty(rank).fault_stats();
         reliability_before[i] = faults->reliable(rank).reliable_stats();
       }
-    }
-    std::vector<StoreStats> store_before;
-    store_before.reserve(nranks);
-    for (int rank = 0; rank < config.ranks; ++rank) {
-      store_before.push_back(ddb.store(rank).stats());
     }
 
     LevelRunInfo info;
@@ -276,10 +264,31 @@ ParallelResult build_parallel(const Family& family, int max_level,
     info.size = game.size();
     const support::Timer level_timer;
     try {
-      info.rounds = config.use_threads
-                        ? (config.async ? run_async_threads(engines)
-                                        : run_bsp_threads(engines))
-                        : run_bsp_sequential(engines);
+      info.rounds = run(level, engines);
+      for (std::size_t i = 0; i < nranks; ++i) {
+        info.per_rank.push_back(engines[i]->stats());
+        info.working_bytes.push_back(engines[i]->working_bytes());
+      }
+      engines.clear();  // the solved shards stay behind as the stores' builds
+
+      if (config.replicate_lower) {
+        // Broadcast every shard so each rank holds a private full copy;
+        // the exchange reads straight out of the stores' still-active
+        // builds.
+        std::vector<std::vector<db::Value>> full(nranks);
+        std::vector<std::unique_ptr<ShardExchange>> exchange;
+        exchange.reserve(nranks);
+        for (int rank = 0; rank < config.ranks; ++rank) {
+          const std::size_t i = support::to_size(rank);
+          exchange.push_back(std::make_unique<ShardExchange>(
+              partition, endpoint(rank), ddb.store(rank).build().values,
+              full[i], config.combine_bytes));
+        }
+        info.rounds += run(level, exchange);
+        ddb.push_level_full(level, std::move(full));
+      } else {
+        ddb.seal_level_from_builds(level, game.size());
+      }
     } catch (const msg::RankCrash& crash) {
       result.aborted_level = level;
       result.crashed_rank = crash.rank;
@@ -295,55 +304,16 @@ ParallelResult build_parallel(const Family& family, int max_level,
       return result;
     }
 
-    for (std::size_t i = 0; i < nranks; ++i) {
-      info.per_rank.push_back(engines[i]->stats());
-      info.working_bytes.push_back(engines[i]->working_bytes());
-    }
-    engines.clear();  // the solved shards stay behind as the stores' builds
     for (int rank = 0; rank < config.ranks; ++rank) {
+      const std::size_t i = support::to_size(rank);
       msg::WorkMeter delta = endpoint(rank).meter();
       for (std::size_t k = 0; k < msg::kWorkKinds; ++k) {
-        delta.counts[k] -= meters_before[support::to_size(rank)].counts[k];
+        delta.counts[k] -= meters_before[i].counts[k];
       }
       info.work_per_rank.push_back(delta);
-    }
-
-    if (config.replicate_lower) {
-      // Broadcast every shard so each rank holds a private full copy; the
-      // exchange reads straight out of the stores' still-active builds.
-      std::vector<std::vector<db::Value>> full(nranks);
-      std::vector<std::unique_ptr<ShardExchange>> exchange;
-      exchange.reserve(nranks);
-      for (int rank = 0; rank < config.ranks; ++rank) {
-        const std::size_t i = support::to_size(rank);
-        exchange.push_back(std::make_unique<ShardExchange>(
-            partition, endpoint(rank), ddb.store(rank).build().values,
-            full[i], config.combine_bytes));
-      }
-      try {
-        info.rounds += config.use_threads
-                           ? (config.async ? run_async_threads(exchange)
-                                           : run_bsp_threads(exchange))
-                           : run_bsp_sequential(exchange);
-      } catch (const msg::RankCrash& crash) {
-        result.aborted_level = level;
-        result.crashed_rank = crash.rank;
-        support::log_info(
-            "rank %d crashed while replicating level %d; aborting",
-            crash.rank, level);
-        return result;
-      }
-      ddb.push_level_full(level, std::move(full));
-    } else {
-      ddb.seal_level_from_builds(level, game.size());
-    }
-    for (int rank = 0; rank < config.ranks; ++rank) {
       info.store_per_rank.push_back(ddb.store(rank).stats() -
-                                    store_before[support::to_size(rank)]);
-    }
-    if (faults) {
-      for (int rank = 0; rank < config.ranks; ++rank) {
-        const std::size_t i = support::to_size(rank);
+                                    store_before[i]);
+      if (faults) {
         info.faults += faults->faulty(rank).fault_stats() - faults_before[i];
         info.reliability +=
             faults->reliable(rank).reliable_stats() - reliability_before[i];
@@ -358,6 +328,30 @@ ParallelResult build_parallel(const Family& family, int max_level,
     result.levels.push_back(std::move(info));
   }
   return result;
+}
+
+/// The host build: ranks exchange messages over a ThreadWorld (wrapped in
+/// the fault-injecting + reliable stacks when config.fault_plan is
+/// active) and run under the driver config selects.
+template <typename Family>
+ParallelResult build_parallel(const Family& family, int max_level,
+                              const ParallelConfig& config) {
+  msg::ThreadWorld world(config.ranks);
+  // The fault stacks live for the whole build (not per level) so that
+  // late acknowledgements and retransmissions crossing a level boundary
+  // stay consistent with the sequence-number state.
+  std::unique_ptr<msg::FaultWorld> faults;
+  if (config.fault_plan.active()) {
+    faults = std::make_unique<msg::FaultWorld>(world, config.fault_plan,
+                                               config.reliable);
+  }
+  return build_levels(
+      family, max_level, config, world, faults.get(),
+      [&](int /*level*/, auto& engines) -> std::uint64_t {
+        if (!config.use_threads) return run_bsp_sequential(engines);
+        return config.async ? run_async_threads(engines)
+                            : run_bsp_threads(engines);
+      });
 }
 
 }  // namespace retra::para

@@ -1,31 +1,34 @@
 // Simulated parallel database construction.
 //
-// Same orchestration as build_parallel(), but the ranks run under the
-// discrete-event cluster (sim::run_bsp_simulated), so the result carries
-// virtual 1995-cluster timings alongside the usual statistics.  The
-// values produced are still real — tests compare them against the
-// sequential solver — only the clock is modelled.
+// Same orchestration as build_parallel() — literally: both run
+// build_levels(), and only the world and the driver differ.  Here the
+// ranks exchange messages over a SimWorld and every engine set runs under
+// the sequential BSP driver with sim::ClusterClock as its round hooks, so
+// the result carries virtual 1995-cluster timings alongside the usual
+// statistics.  The values produced are still real — tests compare them
+// against the sequential solver — only the clock is modelled: `timings`
+// holds the virtual seconds, while LevelRunInfo::build_seconds stays host
+// wall time as in every build.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "retra/para/dist_db.hpp"
+#include "retra/para/drivers.hpp"
 #include "retra/para/parallel_solver.hpp"
-#include "retra/para/rank_engine.hpp"
-#include "retra/para/shard_exchange.hpp"
 #include "retra/sim/cluster_model.hpp"
 #include "retra/sim/projection.hpp"
 #include "retra/sim/sim_driver.hpp"
 #include "retra/sim/sim_world.hpp"
+#include "retra/support/check.hpp"
 
 namespace retra::para {
 
-struct SimBuildResult {
-  std::unique_ptr<DistributedDatabase> database;
-  std::vector<LevelRunInfo> levels;
-  std::vector<sim::SimRunResult> timings;  // one per level
+struct SimBuildResult : ParallelResult {
+  /// Virtual cluster time and traffic, one per level (the replication
+  /// exchange and the level's disk I/O included).
+  std::vector<sim::SimRunResult> timings;
 
   double total_time_s() const {
     double total = 0;
@@ -64,99 +67,35 @@ SimBuildResult build_parallel_simulated(const Family& family, int max_level,
                                         const ParallelConfig& config,
                                         const sim::ClusterModel& model,
                                         sim::TraceSink* trace = nullptr) {
-  const std::size_t nranks = support::to_size(config.ranks);
-  RETRA_OBS_SET(obs::Id::kDriverRanks,
-                static_cast<std::uint64_t>(config.ranks));
-  SimBuildResult result;
-  result.database = std::make_unique<DistributedDatabase>(
-      config.scheme, config.block_size, config.ranks,
-      config.replicate_lower, config.store);
-  DistributedDatabase& ddb = *result.database;
+  RETRA_CHECK_MSG(!config.fault_plan.active(),
+                  "the simulated cluster models no faults");
+  RETRA_CHECK_MSG(!config.async, "the simulated cluster is bulk-synchronous");
+  RETRA_CHECK_MSG(config.checkpoint_dir.empty(),
+                  "the simulated cluster does not checkpoint");
+  // The simulated cluster executes its ranks one at a time on the host,
+  // so only that single rank's pool is ever active.
+  ParallelConfig sequential = config;
+  sequential.use_threads = false;
   sim::SimWorld world(config.ranks);
-
-  for (int level = 0; level <= max_level; ++level) {
-    decltype(auto) game = family.level(level);
-    using Game = std::remove_cvref_t<decltype(game)>;
-    const Partition partition = ddb.make_partition(game.size());
-
-    EngineConfig engine_config;
-    engine_config.combine_bytes = config.combine_bytes;
-    // The simulated cluster executes its ranks one at a time on the host,
-    // so only that single rank's pool is ever active.
-    engine_config.threads_per_rank = effective_threads_per_rank(
-        config.threads_per_rank, config.ranks, /*use_threads=*/false,
-        config.oversubscribe);
-    engine_config.threads_scan = effective_phase_threads(
-        config.threads_scan, engine_config.threads_per_rank, config.ranks,
-        /*use_threads=*/false, config.oversubscribe);
-    engine_config.threads_drain = effective_phase_threads(
-        config.threads_drain, engine_config.threads_per_rank, config.ranks,
-        /*use_threads=*/false, config.oversubscribe);
-
-    std::vector<std::unique_ptr<RankEngine<Game>>> engines;
-    engines.reserve(nranks);
-    for (int rank = 0; rank < config.ranks; ++rank) {
-      engines.push_back(std::make_unique<RankEngine<Game>>(
-          game, partition, world.endpoint(rank), ddb, engine_config));
-    }
-
-    std::vector<msg::WorkMeter> meters_before;
-    meters_before.reserve(nranks);
-    for (int rank = 0; rank < config.ranks; ++rank) {
-      meters_before.push_back(world.endpoint(rank).meter());
-    }
-    std::vector<StoreStats> store_before;
-    store_before.reserve(nranks);
-    for (int rank = 0; rank < config.ranks; ++rank) {
-      store_before.push_back(ddb.store(rank).stats());
-    }
-
-    sim::SimRunResult timing =
-        sim::run_bsp_simulated(engines, world, model, trace);
-
-    LevelRunInfo info;
-    info.level = level;
-    info.size = game.size();
-    info.rounds = timing.rounds;
-
-    for (std::size_t i = 0; i < nranks; ++i) {
-      info.per_rank.push_back(engines[i]->stats());
-      info.working_bytes.push_back(engines[i]->working_bytes());
-    }
-    engines.clear();  // the solved shards stay behind as the stores' builds
-
-    if (config.replicate_lower) {
-      std::vector<std::vector<db::Value>> full(nranks);
-      std::vector<std::unique_ptr<ShardExchange>> exchange;
-      exchange.reserve(nranks);
-      for (int rank = 0; rank < config.ranks; ++rank) {
-        const std::size_t i = support::to_size(rank);
-        exchange.push_back(std::make_unique<ShardExchange>(
-            partition, world.endpoint(rank), ddb.store(rank).build().values,
-            full[i], config.combine_bytes));
-      }
-      timing.accumulate(sim::run_bsp_simulated(exchange, world, model));
-      ddb.push_level_full(level, std::move(full));
-    } else {
-      ddb.seal_level_from_builds(level, game.size());
-    }
-
-    for (int rank = 0; rank < config.ranks; ++rank) {
-      msg::WorkMeter delta = world.endpoint(rank).meter();
-      for (std::size_t k = 0; k < msg::kWorkKinds; ++k) {
-        delta.counts[k] -= meters_before[support::to_size(rank)].counts[k];
-      }
-      info.work_per_rank.push_back(delta);
-    }
-    // Price the level's spill/fault traffic on the model's disks: ranks
-    // overlap with each other but not with their own I/O, so the level
-    // stretches by the busiest rank's disk time (BSP supersteps already
-    // serialise compute against the barrier).
+  SimBuildResult result;
+  result.timings.resize(support::to_size(max_level + 1));
+  static_cast<ParallelResult&>(result) = build_levels(
+      family, max_level, sequential, world, nullptr,
+      [&](int level, auto& engines) -> std::uint64_t {
+        sim::ClusterClock clock(world, model, trace);
+        const std::uint64_t rounds = run_bsp_sequential(engines, clock);
+        result.timings[support::to_size(level)].accumulate(clock.result());
+        return rounds;
+      });
+  // Price each level's spill/fault traffic on the model's disks: ranks
+  // overlap with each other but not with their own I/O, so the level
+  // stretches by the busiest rank's disk time (BSP supersteps already
+  // serialise compute against the barrier).
+  for (const LevelRunInfo& info : result.levels) {
+    sim::SimRunResult& timing = result.timings[support::to_size(info.level)];
     double io_max_s = 0.0;
-    for (int rank = 0; rank < config.ranks; ++rank) {
-      const std::size_t i = support::to_size(rank);
-      const StoreStats delta = ddb.store(rank).stats() - store_before[i];
-      info.store_per_rank.push_back(delta);
+    for (std::size_t i = 0; i < info.store_per_rank.size(); ++i) {
+      const StoreStats& delta = info.store_per_rank[i];
       const double io_s = model.machine.io_seconds(
           delta.faults + delta.levels_spilled,
           delta.fault_bytes + delta.spill_bytes);
@@ -164,11 +103,6 @@ SimBuildResult build_parallel_simulated(const Family& family, int max_level,
       if (io_s > io_max_s) io_max_s = io_s;
     }
     timing.time_s += io_max_s;
-    info.build_seconds = timing.time_s;  // virtual cluster time
-    finalize_level_info(info);
-
-    result.levels.push_back(std::move(info));
-    result.timings.push_back(std::move(timing));
   }
   return result;
 }

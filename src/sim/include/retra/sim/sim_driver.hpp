@@ -1,7 +1,8 @@
-// Discrete-event bulk-synchronous driver.
+// Discrete-event bulk-synchronous pricing.
 //
-// Runs the identical engine supersteps as the real drivers, but on one
-// thread and against virtual time: each round,
+// The simulated build runs the identical engine supersteps in the one
+// sequential BSP loop (para::run_bsp_sequential); ClusterClock is the pair
+// of round hooks that prices that loop against virtual time.  Each round,
 //   1. every rank's superstep executes; its WorkMeter delta is priced by
 //      the machine model (plus the receive overhead of the messages it
 //      just drained);
@@ -16,18 +17,14 @@
 // shape of a 64-node 1995 cluster run.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "retra/msg/work_meter.hpp"
 #include "retra/sim/cluster_model.hpp"
 #include "retra/sim/sim_world.hpp"
 #include "retra/sim/trace.hpp"
-#include "retra/support/access_check.hpp"
-#include "retra/support/check.hpp"
-#include "retra/support/numeric.hpp"
 
 namespace retra::sim {
 
@@ -68,129 +65,33 @@ struct SimRunResult {
   }
 };
 
-inline constexpr std::uint64_t kSimRoundLimit = 100'000'000;
+/// Round hooks that price one BSP run of para::run_bsp_sequential on the
+/// cluster model (the driver calls after_step() after each rank's
+/// superstep and close_round() once all ranks have stepped).  One clock
+/// prices one engine set from virtual time 0.
+class ClusterClock {
+ public:
+  ClusterClock(SimWorld& world, const ClusterModel& model,
+               TraceSink* trace = nullptr);
 
-template <typename Engine>
-SimRunResult run_bsp_simulated(std::vector<std::unique_ptr<Engine>>& engines,
-                               SimWorld& world, const ClusterModel& model,
-                               TraceSink* trace = nullptr) {
-  const support::ScopedPhase bsp_phase(support::BspPhase::kCompute);
-  const int ranks = static_cast<int>(engines.size());
-  RETRA_CHECK(ranks == world.size());
-  const std::size_t nranks = engines.size();
-  SimRunResult result;
-  result.per_rank.resize(nranks);
+  /// Step 1: prices the rank's WorkMeter delta plus the receive overhead
+  /// of the messages its superstep just drained.
+  void after_step(std::size_t rank);
+  /// Steps 2 and 3: plays the round's outbox over the Ethernet model,
+  /// charges the barrier, and writes the trace row.
+  void close_round();
 
-  std::vector<double> pending_recv(nranks, 0.0);
-  std::vector<msg::WorkMeter> meter_before(nranks);
-  for (int r = 0; r < ranks; ++r) {
-    meter_before[support::to_size(r)] = world.endpoint(r).meter();
-  }
+  /// The run priced so far; time_s is the end of the last closed round.
+  const SimRunResult& result() const { return result_; }
 
-  std::uint64_t cum_sent = 0;
-  std::uint64_t cum_received = 0;
-  double now = 0.0;  // round start, virtual seconds
-  std::uint64_t trace_messages_before = 0;
-  std::uint64_t trace_payload_before = 0;
-  double trace_network_before = 0.0;
-
-  while (true) {
-    ++result.rounds;
-    RETRA_CHECK_MSG(result.rounds < kSimRoundLimit,
-                    "simulated round limit exceeded");
-
-    // 1. Supersteps: price each rank's work.
-    std::vector<double> rank_clock(nranks);  // when each rank goes idle
-    bool all_ready = true;
-    std::uint64_t round_sent = 0, round_received = 0, round_work = 0;
-    for (int r = 0; r < ranks; ++r) {
-      const std::size_t ri = support::to_size(r);
-      const support::ScopedActor actor(r);
-      const auto step = engines[ri]->superstep();
-      all_ready = all_ready && step.ready;
-      round_sent += step.records_sent;
-      round_received += step.records_received;
-      round_work += step.work;
-
-      msg::WorkMeter delta = world.endpoint(r).meter();
-      for (std::size_t k = 0; k < msg::kWorkKinds; ++k) {
-        delta.counts[k] -= meter_before[ri].counts[k];
-      }
-      meter_before[ri] = world.endpoint(r).meter();
-      const double compute = model.machine.cpu_seconds(delta);
-      result.per_rank[ri].compute_s += compute;
-      result.per_rank[ri].recv_s += pending_recv[ri];
-      rank_clock[ri] = now + compute + pending_recv[ri];
-      pending_recv[ri] = 0.0;
-    }
-    cum_sent += round_sent;
-    cum_received += round_received;
-
-    // 2. Network: bridged shared segments, messages in send order.  The
-    // sender pays its software overhead before the frame can contend for
-    // its segment; the receiver's overhead is charged to its next
-    // superstep.
-    std::vector<double> medium_free(support::to_size(model.net.segments), now);
-    double last_delivery = now;
-    for (auto& out : world.take_outbox()) {
-      const int src = out.source;
-      const std::size_t si = support::to_size(src);
-      rank_clock[si] += model.machine.send_overhead_s;
-      result.per_rank[si].send_s += model.machine.send_overhead_s;
-      const double medium_time =
-          model.net.medium_seconds(out.message.payload.size());
-      double& segment_free =
-          medium_free[support::to_size(model.net.segment_of(src))];
-      const double start = std::max(segment_free, rank_clock[si]);
-      segment_free = start + medium_time;
-      result.network_busy_s += medium_time;
-      last_delivery = std::max(last_delivery, segment_free);
-      pending_recv[support::to_size(out.dest)] += model.machine.recv_overhead_s;
-      ++result.messages;
-      result.payload_bytes += out.message.payload.size();
-      world.deliver(out.dest, std::move(out.message));
-    }
-
-    // 3. Barrier closes the round.
-    const double barrier = model.barrier_seconds(ranks);
-    result.barrier_s += barrier;
-    double round_end = last_delivery;
-    for (std::size_t r = 0; r < nranks; ++r) {
-      round_end = std::max(round_end, rank_clock[r]);
-    }
-    for (std::size_t r = 0; r < nranks; ++r) {
-      result.per_rank[r].idle_s += round_end - rank_clock[r];
-    }
-    if (trace) {
-      RoundTrace row;
-      row.round = result.rounds;
-      row.start_s = now;
-      row.end_s = round_end + barrier;
-      row.rank_busy_s.reserve(nranks);
-      for (std::size_t r = 0; r < nranks; ++r) {
-        row.rank_busy_s.push_back(rank_clock[r] - now);
-      }
-      row.messages = result.messages - trace_messages_before;
-      row.payload_bytes = result.payload_bytes - trace_payload_before;
-      row.network_busy_s = result.network_busy_s - trace_network_before;
-      trace->add(std::move(row));
-    }
-    trace_messages_before = result.messages;
-    trace_payload_before = result.payload_bytes;
-    trace_network_before = result.network_busy_s;
-    now = round_end + barrier;
-
-    const bool quiescent = all_ready && round_work == 0 &&
-                           round_sent == 0 && cum_sent == cum_received;
-    if (!quiescent) continue;
-    if (engines.front()->done()) break;
-    for (std::size_t r = 0; r < nranks; ++r) {
-      const support::ScopedActor actor(static_cast<int>(r));
-      engines[r]->advance();
-    }
-  }
-  result.time_s = now;
-  return result;
-}
+ private:
+  SimWorld& world_;
+  const ClusterModel& model_;
+  TraceSink* trace_;
+  SimRunResult result_;
+  std::vector<double> pending_recv_;  // charged to the next superstep
+  std::vector<double> rank_clock_;    // when each rank goes idle
+  std::vector<msg::WorkMeter> meter_before_;
+};
 
 }  // namespace retra::sim

@@ -328,7 +328,7 @@ TEST(NetServer, ResponseOpFromClientIsRejected) {
 }
 
 TEST(NetServer, StatsReconcileWithObsAndWithTrafficSent) {
-  const obs::Snapshot before = obs::snapshot();
+  [[maybe_unused]] const obs::Snapshot before = obs::snapshot();
   ServerConfig config;
   config.budget_bytes = 2048;
   auto opened = open_server(config);
@@ -384,6 +384,7 @@ TEST(NetServer, StatsReconcileWithObsAndWithTrafficSent) {
   // Every position asked was answered by the hot tier or the service.
   EXPECT_EQ(remote.hot_hits + remote.lookups, asked);
 
+#if RETRA_METRICS_ENABLED
   const obs::Snapshot delta = obs::snapshot() - before;
   EXPECT_EQ(delta[obs::Id::kNetConnections].value, local.connections);
   EXPECT_EQ(delta[obs::Id::kNetRequests].value, local.requests);
@@ -396,6 +397,7 @@ TEST(NetServer, StatsReconcileWithObsAndWithTrafficSent) {
             remote.pings + remote.stats_ops);
   EXPECT_GT(delta[obs::Id::kNetBytesIn].value, 0u);
   EXPECT_GT(delta[obs::Id::kNetBytesOut].value, 0u);
+#endif  // RETRA_METRICS_ENABLED
 }
 
 TEST(NetServer, CleanShutdownWithConnectionsOpen) {

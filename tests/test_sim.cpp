@@ -2,6 +2,7 @@
 
 #include "retra/game/awari_level.hpp"
 #include "retra/game/graph_game.hpp"
+#include "retra/para/parallel_solver.hpp"
 #include "retra/para/sim_build.hpp"
 #include "retra/ra/builder.hpp"
 #include "retra/sim/cluster_model.hpp"
@@ -134,6 +135,56 @@ TEST(SimBuild, GraphGameWorksToo) {
       graph, graph.num_levels() - 1, config, ClusterModel{});
   EXPECT_EQ(result.database->gather(),
             ra::build_database(graph, graph.num_levels() - 1));
+}
+
+TEST(SimBuild, LevelCountersMatchTheHostBuild) {
+  // One level loop serves both builds, so what a level reports must not
+  // depend on which one ran it: the databases, the summed work and store
+  // activity agree with the sequential host build, and under replication
+  // a level's rounds cover the exchange in both.
+  for (const bool replicate : {false, true}) {
+    para::ParallelConfig config;
+    config.ranks = 4;
+    config.replicate_lower = replicate;
+    const para::ParallelResult host =
+        para::build_parallel(game::AwariFamily{}, 6, config);
+    const para::SimBuildResult sim = para::build_parallel_simulated(
+        game::AwariFamily{}, 6, config, ClusterModel{});
+    EXPECT_EQ(sim.database->gather(), host.database->gather());
+    ASSERT_EQ(sim.levels.size(), host.levels.size());
+    ASSERT_EQ(sim.timings.size(), sim.levels.size());
+    for (std::size_t l = 0; l < host.levels.size(); ++l) {
+      EXPECT_EQ(sim.levels[l].work_total.counts,
+                host.levels[l].work_total.counts)
+          << "level " << l << " replicate " << replicate;
+      EXPECT_EQ(sim.levels[l].store_total, host.levels[l].store_total)
+          << "level " << l << " replicate " << replicate;
+      EXPECT_EQ(sim.levels[l].rounds, sim.timings[l].rounds)
+          << "level " << l << " replicate " << replicate;
+    }
+  }
+}
+
+using SimBuildDeath = ::testing::Test;
+
+TEST(SimBuildDeath, RejectsHostOnlySettings) {
+  // Faults, the async driver and checkpoints exist only in the host
+  // build; the simulated one refuses them instead of ignoring them.
+  para::ParallelConfig faulty;
+  faulty.fault_plan.drop = 0.1;
+  EXPECT_DEATH((void)para::build_parallel_simulated(game::AwariFamily{}, 1,
+                                                    faulty, ClusterModel{}),
+               "models no faults");
+  para::ParallelConfig async;
+  async.async = true;
+  EXPECT_DEATH((void)para::build_parallel_simulated(game::AwariFamily{}, 1,
+                                                    async, ClusterModel{}),
+               "bulk-synchronous");
+  para::ParallelConfig checkpointed;
+  checkpointed.checkpoint_dir = "unused";
+  EXPECT_DEATH((void)para::build_parallel_simulated(
+                   game::AwariFamily{}, 1, checkpointed, ClusterModel{}),
+               "does not checkpoint");
 }
 
 TEST(Projection, ProfileExtractsDensities) {
