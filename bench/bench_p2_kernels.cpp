@@ -9,8 +9,10 @@
 //  (b) engine: real awari builds with the backend pinned scalar vs
 //      widest, across per-phase thread splits — the engine phase timers
 //      (host wall time) show what the kernels buy inside the full
-//      seed/zero-fill/drain machinery, and the runs are checked for the
-//      engines' bit-identity guarantee (same stats either way).
+//      seed/zero-fill/drain machinery, with the drain split into its
+//      chunk-parallel predecessor generation and its sliced apply (plus
+//      the chunk-order merge), and the runs are checked for the engines'
+//      bit-identity guarantee (same stats either way).
 //  (c) model: the 1995 cluster priced at vector_lanes = 1 (the paper's
 //      scalar SPARCs) vs this host's width — the DES sweep term shrinks
 //      by exactly the lane count; everything else is untouched.
@@ -43,6 +45,8 @@ struct EngineRow {
   double seed_s = 0;
   double zero_fill_s = 0;
   double drain_s = 0;
+  double generate_s = 0;  // drain: predecessor generation
+  double apply_s = 0;     // drain: sliced apply + chunk-order merge
   std::uint64_t sweep_positions = 0;
   std::uint64_t assignments = 0;
   std::uint64_t zero_filled = 0;
@@ -221,6 +225,9 @@ int main(int argc, char** argv) {
       row.seed_s = delta[obs::Id::kEngineSeedSeconds].seconds();
       row.zero_fill_s = delta[obs::Id::kEngineZeroFillSeconds].seconds();
       row.drain_s = delta[obs::Id::kEngineDrainSeconds].seconds();
+      row.generate_s =
+          delta[obs::Id::kEngineDrainGenerateSeconds].seconds();
+      row.apply_s = delta[obs::Id::kEngineDrainApplySeconds].seconds();
       row.sweep_positions =
           delta[obs::Id::kEngineKernelSweepPositions].value;
       for (const para::LevelRunInfo& info : run.levels) {
@@ -232,7 +239,8 @@ int main(int argc, char** argv) {
   }
   exec::simd::set_active(initial);
   support::Table engine_table({"backend", "Tscan", "Tdrain", "seed",
-                               "zero-fill", "drain", "sweep pos",
+                               "zero-fill", "drain", "generate", "apply",
+                               "sweep pos",
                                "assignments", "zero-filled"});
   for (const EngineRow& row : engine_rows) {
     // Bit-identity guarantee: every cell finalises the same positions.
@@ -245,6 +253,8 @@ int main(int argc, char** argv) {
         .add(support::human_seconds(row.seed_s))
         .add(support::human_seconds(row.zero_fill_s))
         .add(support::human_seconds(row.drain_s))
+        .add(support::human_seconds(row.generate_s))
+        .add(support::human_seconds(row.apply_s))
         .add(row.sweep_positions)
         .add(row.assignments)
         .add(row.zero_filled);
@@ -332,6 +342,8 @@ int main(int argc, char** argv) {
       extra.kv("seed_s", row.seed_s);
       extra.kv("zero_fill_s", row.zero_fill_s);
       extra.kv("drain_s", row.drain_s);
+      extra.kv("drain_generate_s", row.generate_s);
+      extra.kv("drain_apply_s", row.apply_s);
       extra.kv("sweep_positions", row.sweep_positions);
       extra.kv("assignments", row.assignments);
       extra.kv("zero_filled", row.zero_filled);

@@ -106,6 +106,23 @@ int terminal_reward(const Board& board) {
 
 void predecessors(const Board& board, std::vector<Board>& out) {
   out.clear();
+  // Reverse sowing yields candidates that sow forward into exactly `board`
+  // (the sow skips the origin on every lap, as the reverse walk does), so
+  // a candidate fails apply_move only on the two rules that look past the
+  // sow itself:
+  //   * must feed: the previous mover's opponent is the mover of `board`,
+  //     whose pits 0–5 are the opponent row after the move.  If they are
+  //     all empty they were empty before it too (sowing only adds stones),
+  //     so every candidate started starving and failed to feed: `board`
+  //     has no predecessor at all;
+  //   * capture: the last stone landed in the opponent's row and the chain
+  //     of 2s and 3s ending there is a real capture, i.e. not a grand slam
+  //     taking the whole row, which is forfeited and leaves the board as
+  //     sown.
+  // tests/test_awari_unmoves.cpp keeps the apply_move-verified enumeration
+  // as the oracle this must match, board for board and in order.
+  const int opponent_row = row_sum(board, 0);
+  if (opponent_row == 0) return;
   // View the board from the previous mover's side: their pits are 6–11 of
   // `board`, i.e. the un-rotated post-move board.
   Board pp;
@@ -113,6 +130,16 @@ void predecessors(const Board& board, std::vector<Board>& out) {
     pp[to_size(i)] = board[to_size((i + 6) % kPits)];
   }
   const int total = idx::stones_on(board);
+  // Whether a sow ending in opponent pit `last` captures.  Only `pp`
+  // matters: the sown board before any capture is `pp` itself.
+  auto captures = [&](int last) {
+    int chain_sum = 0;
+    for (int k = last; k >= 6 && (pp[to_size(k)] == 2 || pp[to_size(k)] == 3);
+         --k) {
+      chain_sum += pp[to_size(k)];
+    }
+    return chain_sum > 0 && chain_sum < opponent_row;
+  };
 
   for (int origin = 0; origin < 6; ++origin) {
     // After sowing, the origin pit is always empty.
@@ -128,22 +155,14 @@ void predecessors(const Board& board, std::vector<Board>& out) {
       if (pos == origin) pos = (pos + 1) % kPits;
       sown[to_size(pos)] = static_cast<std::uint8_t>(sown[to_size(pos)] + 1);
       if (sown[to_size(pos)] > pp[to_size(pos)]) break;
+      if (pos >= 6 && captures(pos)) continue;
 
-      Board candidate;
+      Board& candidate = out.emplace_back();
       for (int i = 0; i < kPits; ++i) {
         candidate[to_size(i)] =
             static_cast<std::uint8_t>(pp[to_size(i)] - sown[to_size(i)]);
       }
       candidate[to_size(origin)] = static_cast<std::uint8_t>(length);
-
-      // Forward-verify: the candidate must reach `board` through a legal,
-      // non-capturing move.  This re-checks must-feed legality and that no
-      // capture (or a forfeited grand slam) occurs, so the reverse-sowing
-      // enumeration above never needs to reason about those rules.
-      const AppliedMove forward = apply_move(candidate, origin);
-      if (forward.legal && forward.captured == 0 && forward.after == board) {
-        out.push_back(candidate);
-      }
     }
   }
 }

@@ -45,7 +45,29 @@ constexpr BinomialTable make_binomial_table() {
 
 inline constexpr BinomialTable kBinomial = make_binomial_table();
 
+struct BinomialColumns {
+  // at[d][j] = C(j + d, d) for j + d <= kMaxN (0 beyond): one contiguous
+  // row per d, the order in which the board-index kernels read them.
+  std::uint64_t at[kMaxK + 1][kMaxN + 1];
+};
+
+constexpr BinomialColumns make_binomial_columns() {
+  BinomialColumns t{};
+  for (int d = 0; d <= kMaxK; ++d) {
+    for (int j = 0; j + d <= kMaxN; ++j) t.at[d][j] = kBinomial.at[j + d][d];
+  }
+  return t;
+}
+
+inline constexpr BinomialColumns kBinomialColumns = make_binomial_columns();
+
 }  // namespace detail
+
+/// Row d of the transposed table: column(d)[j] == C(j + d, d).  Unchecked;
+/// callers bound j + d <= kMaxN once up front instead of per read.
+constexpr const std::uint64_t* binomial_column(int d) {
+  return detail::kBinomialColumns.at[d];
+}
 
 /// C(n, k); 0 outside the valid triangle (including negative arguments),
 /// which lets the ranking formulas avoid edge-case branches.

@@ -62,13 +62,18 @@ inline Index rank_in_level(int stones, const Board& board) {
   //   C(r + 11 − i, 11 − i) − C(r − b_i + 11 − i, 11 − i)
   // (a telescoped hockey-stick sum), so the rank is 11 pairs of table
   // lookups.  Pit 11 is determined by the rest and contributes nothing.
+  // Every read is C(j + d, d) with j <= stones and d <= 11, so one bound
+  // check covers them all.
+  RETRA_CHECK_MSG(stones >= 0 && stones + kPits - 1 <= kMaxN,
+                  "binomial table exceeded");
   Index index = 0;
   int remaining = stones;
   for (int i = 0; i + 1 < kPits; ++i) {
-    const int d = kPits - 1 - i;  // pits after pit i
-    index += binomial(remaining + d, d) -
-             binomial(remaining - board[support::to_size(i)] + d, d);
-    remaining -= board[support::to_size(i)];
+    const std::uint64_t* column = binomial_column(kPits - 1 - i);
+    const int pit = board[support::to_size(i)];
+    RETRA_DCHECK(pit <= remaining);
+    index += column[remaining] - column[remaining - pit];
+    remaining -= pit;
   }
   return index;
 }
@@ -80,18 +85,21 @@ inline Index rank(const Board& board) {
 
 /// The board of the given level with the given rank.
 inline Board unrank(int stones, Index index) {
-  RETRA_CHECK(index < level_size(stones));
+  // Same single bound as rank_in_level: every block below is
+  // C(j + d − 1, d − 1) with j <= stones and d <= 11.
+  RETRA_CHECK_MSG(stones >= 0 && stones + kPits - 1 <= kMaxN,
+                  "binomial table exceeded");
+  RETRA_CHECK(index < binomial_column(kPits - 1)[stones]);
   Board board{};
   int remaining = stones;
   for (int i = 0; i + 1 < kPits; ++i) {
-    const int d = kPits - 1 - i;
+    const std::uint64_t* column = binomial_column(kPits - 2 - i);
     // Walk pit values upward, peeling off the block of boards whose pit i
-    // holds v stones: C(remaining − v + d − 1, d − 1) boards each.
+    // holds v stones: C(remaining − v + d − 1, d − 1) boards each, with
+    // d = 11 − i pits after pit i.
     int v = 0;
-    while (true) {
-      const std::uint64_t block = binomial(remaining - v + d - 1, d - 1);
-      if (index < block) break;
-      index -= block;
+    while (index >= column[remaining - v]) {
+      index -= column[remaining - v];
       ++v;
       RETRA_DCHECK(v <= remaining);
     }

@@ -101,6 +101,8 @@ enum class Id : int {
   kEngineSeedSeconds,
   kEngineZeroFillSeconds,
   kEngineDrainSeconds,
+  kEngineDrainGenerateSeconds,
+  kEngineDrainApplySeconds,
   kEngineDrainThreads,
   // para.engine — vectorized sweep kernels (P2).
   kEngineKernelLanes,
@@ -220,6 +222,12 @@ inline constexpr std::array<Desc, kMetricCount> kCatalog = {{
      "P1", "host wall time in zero-fill sweeps"},
     {"engine.drain.seconds", Kind::kTimer, "seconds", "para.rank_engine",
      "P1", "host wall time draining propagation queues"},
+    {"engine.drain.generate.seconds", Kind::kTimer, "seconds",
+     "para.rank_engine", "P1/P2",
+     "drain host wall time in chunk-parallel predecessor generation"},
+    {"engine.drain.apply.seconds", Kind::kTimer, "seconds",
+     "para.rank_engine", "P1/P2",
+     "drain host wall time in sliced update apply plus the chunk-order merge"},
     {"engine.drain.threads", Kind::kGauge, "threads", "para.rank_engine",
      "P1",
      "drain-phase threads per rank of the most recently constructed engine"},

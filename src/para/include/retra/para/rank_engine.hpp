@@ -51,14 +51,22 @@
 // ascending match sequence, so vectorisation is invisible to all of the
 // identities above.
 //
-// The queue drain parallelises the same way in *waves*: the queue is
-// snapshotted, predecessor generation (the most expensive kernel) runs
-// chunk-parallel over the snapshot with updates staged per chunk, and the
-// staged updates are applied serially in chunk order — newly finalised
-// positions form the next wave.  Every queued position is popped exactly
-// once, so the update multiset — and with it the final values and all
-// counters — is the same as a LIFO drain's, and the chunk-order merge
-// makes the record stream identical for every T.
+// The queue drain parallelises in *waves*, both halves of each one on the
+// pool.  The queue is snapshotted and predecessor generation runs
+// chunk-parallel over the snapshot: remote updates are staged per chunk,
+// local ones are bucketed by the *apply slice* that owns their target
+// (exec::chunk_range over the local range, one slice per drain thread),
+// each tagged with its sequence number in its chunk's edge order.  A
+// second fork-join then has every slice apply its buckets in (chunk, seq)
+// order.  That is exactly the order in which a serial pass over the chunks
+// would have met the same updates *per target*, and an update reads and
+// writes only its own target's value/cnt/best while every counter is a
+// sum, so the slices reproduce the serial apply's final state and
+// counters bit for bit.  The positions they finalise join the queue in
+// (chunk, seq) order of the update that finalised them — the serial
+// order — and form the next wave.  Every queued position is popped
+// exactly once, so the update multiset matches a LIFO drain's, and the
+// chunk-order merge makes the record stream identical for every T.
 //
 // This mirrors the sequential sweep solver exactly; tests require the
 // gathered distributed database to be bit-identical to the sequential one.
@@ -66,6 +74,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -180,6 +189,7 @@ class RankEngine {
       : game_(game),
         partition_(partition),
         comm_(comm),
+        rank_(comm.rank()),
         lower_(lower),
         bound_(game.max_value()),
         threads_scan_(phase_threads(config.threads_scan, config)),
@@ -206,6 +216,12 @@ class RankEngine {
       pool_ = std::make_unique<exec::WorkerPool>(
           static_cast<unsigned>(threads_));
     }
+    const unsigned slices = drain_slices();
+    for (unsigned k = 0; k < slices; ++k) {
+      slice_begin_.push_back(exec::chunk_range(local, slices, k).begin);
+    }
+    drain_done_ = std::make_unique<std::atomic<unsigned>[]>(slices);
+    merge_cursors_.resize(slices);
     RETRA_OBS_SET(obs::Id::kEngineScanThreads,
                   static_cast<std::uint64_t>(threads_scan_));
     RETRA_OBS_SET(obs::Id::kEngineDrainThreads,
@@ -288,59 +304,87 @@ class RankEngine {
  private:
   enum class Phase { kInit, kMagnitude, kZeroFill, kDone };
 
-  /// Cacheline distance the drain wave and the apply merge prefetch
-  /// ahead: the wave's values_ reads and the applies' values_/cnt_ reads
-  /// are data-dependent random accesses the hardware prefetcher cannot
-  /// predict, while the upcoming *indices* sit in sequential arrays it
-  /// can.  Eight iterations ≈ the latency of one predecessor generation.
+  /// Cacheline distance the drain wave and the apply slices prefetch
+  /// ahead: the wave's values_ reads and the applies' values_/cnt_/best_
+  /// reads are data-dependent random accesses the hardware prefetcher
+  /// cannot predict, while the upcoming *indices* sit in sequential arrays
+  /// it can.  Eight iterations ≈ the latency of one predecessor generation.
   static constexpr std::uint64_t kPrefetchAhead = 8;
+
+  /// Wave segments shorter than this run their chunks and slices in turn
+  /// on the rank's thread (same decomposition, same results): below a few
+  /// hundred positions the work is cheaper than two pool wake-ups.
+  static constexpr std::size_t kMinPooledWave = 256;
 
   static int phase_threads(int requested, const EngineConfig& config) {
     const int t = requested > 0 ? requested : config.threads_per_rank;
     return t > 1 ? t : 1;
   }
 
-  int rank() const { return comm_.rank(); }
+  int rank() const { return rank_; }
 
   // ------------------------------------------------------------------
   // Chunked fork-join execution of the embarrassingly parallel phases.
 
-  /// A local predecessor update generated by a drain chunk, applied on the
-  /// rank's own thread during the merge.
-  struct LocalUpdate {
+  /// A local predecessor update generated by a drain chunk, bound for the
+  /// apply slice that owns its target.  `seq` is its position among the
+  /// chunk's local updates in edge order.
+  struct SliceUpdate {
     std::uint64_t local;
+    std::uint32_t seq;
     db::Value contribution;
+  };
+
+  /// A position an apply slice finalised, keyed by the `seq` of the
+  /// update that did it.
+  struct Finalised {
+    std::uint32_t seq;
+    std::uint64_t local;
   };
 
   /// Everything a chunk produces besides its own slice of the value
   /// arrays.  Merged into the engine strictly in chunk order so the global
   /// sequence of records, queue pushes, stats, and meter charges matches
-  /// the single-threaded sweep bit for bit.
+  /// the single-threaded sweep bit for bit.  In a drain wave, entry c is
+  /// both generation chunk c and apply slice c.
   struct ChunkOut {
     EngineStats stats;
     msg::WorkMeter meter;
     /// Lock-free per-destination staging (scan: lookups; drain: update
     /// records); drained destination-ascending after the join.
     msg::CombinerBank staged;
-    std::vector<std::uint64_t> seeded;  // locals assigned, ascending
-    std::vector<LocalUpdate> applies;   // drain: local updates, edge order
+    /// Locals to queue, in order: the seeding sweep's assignments, or the
+    /// positions the drain's updates from this chunk finalised.
+    std::vector<std::uint64_t> seeded;
+    /// Drain, generation side: local updates, one bucket per apply slice.
+    std::vector<std::vector<SliceUpdate>> to_slice;
+    /// Drain, apply side: what this slice finalised, one list per
+    /// generation chunk, each in seq order.
+    std::vector<std::vector<Finalised>> finalised;
     std::uint64_t work = 0;
+
+    /// Empties every buffer for the next phase or wave, keeping capacity.
+    void reset(int dests, std::size_t record_size, unsigned slices) {
+      stats = {};
+      meter.clear();
+      staged.reset(dests, record_size);
+      seeded.clear();
+      to_slice.resize(slices);
+      for (auto& bucket : to_slice) bucket.clear();
+      finalised.resize(slices);
+      for (auto& list : finalised) list.clear();
+      work = 0;
+    }
   };
 
-  /// Runs body(range, out) for every one of `chunks` chunks of
-  /// [0, total) — the scan-side phases use threads_scan_ chunks, the
-  /// drain waves threads_drain_.  The pool is sized for the wider phase;
-  /// surplus slots return immediately.  With one chunk the rank's own
-  /// thread runs it inline through the same code path.  Each chunk's
-  /// staging bank is reset here for `record_size`-byte records.
+  /// Runs body(range, c) for every chunk c of [0, total) split into
+  /// `chunks`, on the pool.  The pool is sized for the widest phase;
+  /// surplus slots return immediately.  With one chunk, or with
+  /// `on_pool` false, the rank's own thread runs the chunks in turn
+  /// through the same code path: same decomposition, same results.
   template <typename Body>
-  void run_chunked(std::uint64_t total, int phase_chunks,
-                   std::size_t record_size, std::vector<ChunkOut>& outs,
-                   Body&& body) {
-    const auto chunks = static_cast<unsigned>(phase_chunks);
-    outs.clear();
-    outs.resize(chunks);
-    for (ChunkOut& out : outs) out.staged.reset(comm_.size(), record_size);
+  void fork_join(std::uint64_t total, unsigned chunks, Body&& body,
+                 bool on_pool = true) {
     auto run_one = [&](unsigned c) {
       if (c >= chunks) return;  // pool slot beyond this phase's width
       // Worker threads act on behalf of this rank and own exactly their
@@ -348,19 +392,41 @@ class RankEngine {
       const support::ScopedActor actor(rank());
       const exec::ChunkRange range = exec::chunk_range(total, chunks, c);
       const support::ScopedChunk chunk(range.begin, range.end);
-      body(range, outs[c]);
+      body(range, c);
     };
-    if (pool_ && chunks > 1) {
+    if (pool_ && chunks > 1 && on_pool) {
       pool_->run(run_one);
     } else {
-      run_one(0);
+      for (unsigned c = 0; c < chunks; ++c) run_one(c);
     }
     RETRA_OBS_ADD(obs::Id::kEngineScanChunks, chunks);
   }
 
+  /// Runs body(range, out) for every one of `chunks` chunks of
+  /// [0, total) — the scan-side phases use threads_scan_ chunks, the
+  /// drain waves threads_drain_.  Each chunk's buffers are reset here,
+  /// its staging bank for `record_size`-byte records.
+  template <typename Body>
+  void run_chunked(std::uint64_t total, int phase_chunks,
+                   std::size_t record_size, std::vector<ChunkOut>& outs,
+                   Body&& body, bool on_pool = true) {
+    const auto chunks = static_cast<unsigned>(phase_chunks);
+    outs.resize(chunks);
+    for (ChunkOut& out : outs) {
+      out.reset(comm_.size(), record_size, drain_slices());
+    }
+    fork_join(
+        total, chunks,
+        [&](const exec::ChunkRange& range, unsigned c) {
+          body(range, outs[c]);
+        },
+        on_pool);
+  }
+
   /// Deterministic merge — chunk order, never completion order.  Staged
   /// records drain into `combiner` (lookups for the scan, updates for the
-  /// drain); staged local updates are applied here, on the rank's thread.
+  /// drain) and each chunk's `seeded` locals join the queue; the cost
+  /// beyond the record replay is O(queued).
   void merge_chunks(std::vector<ChunkOut>& outs, StepReport& step,
                     msg::Combiner& combiner) {
     for (ChunkOut& out : outs) {
@@ -374,16 +440,6 @@ class RankEngine {
       // destination instead of a per-record replay (see CombinerBank).
       out.staged.replay_into(combiner);
       for (const std::uint64_t local : out.seeded) queue_.push(local);
-      const std::size_t applies = out.applies.size();
-      for (std::size_t i = 0; i < applies; ++i) {
-        if (i + kPrefetchAhead < applies) {
-          const std::uint64_t ahead = out.applies[i + kPrefetchAhead].local;
-          exec::prefetch_read(values_.data() + ahead);
-          exec::prefetch_read(cnt_.data() + ahead);
-        }
-        apply_update(out.applies[i].local, out.applies[i].contribution,
-                     step);
-      }
     }
   }
 
@@ -523,8 +579,11 @@ class RankEngine {
       const UpdateRecord update = UpdateRecord::decode(reader);
       comm_.meter().charge(msg::WorkKind::kRecordUnpack);
       ++step.records_received;
-      apply_update(partition_.to_local(update.target), update.contribution,
-                   step);
+      const std::uint64_t local = partition_.to_local(update.target);
+      if (apply_update(local, update.contribution, stats_, comm_.meter(),
+                       step.work)) {
+        queue_.push(local);
+      }
     }
   }
 
@@ -598,92 +657,203 @@ class RankEngine {
     out.meter.charge(msg::WorkKind::kAssign);
   }
 
-  void assign(std::uint64_t local, db::Value value, StepReport& step) {
-    support::check_mutable(rank(), "engine.assign");
-    RETRA_DCHECK(values_[local] == db::kUnknown);
-    values_[local] = value;
-    queue_.push(local);
-    ++stats_.assignments;
-    ++step.work;
-    comm_.meter().charge(msg::WorkKind::kAssign);
-  }
-
-  void apply_update(std::uint64_t local, db::Value contribution,
-                    StepReport& step) {
+  /// The one update rule, for incoming kTagUpdate records and the drain's
+  /// apply slices alike: folds `contribution` into an unfinalised target
+  /// and finalises it once its value is decided.  Returns whether it did;
+  /// the caller queues the position.  Touches only the target's
+  /// values_/cnt_/best_ entries and the tallies it is handed.
+  bool apply_update(std::uint64_t local, db::Value contribution,
+                    EngineStats& stats, msg::WorkMeter& meter,
+                    std::uint64_t& work) {
     support::check_mutable(rank(), "engine.apply_update");
+    support::check_chunk(local, "engine.apply_update");
     RETRA_CHECK_MSG(phase_ == Phase::kMagnitude,
                     "update outside a magnitude phase");
-    comm_.meter().charge(msg::WorkKind::kUpdateApply);
-    if (values_[local] != db::kUnknown) return;
-    ++step.work;
+    meter.charge(msg::WorkKind::kUpdateApply);
+    if (values_[local] != db::kUnknown) return false;
+    ++work;
     RETRA_CHECK_MSG(cnt_[local] > 0, "more contributions than counted edges");
     --cnt_[local];
     if (contribution > best_[local]) best_[local] = contribution;
     const auto mag = static_cast<db::Value>(magnitude_);
     RETRA_CHECK_MSG(best_[local] <= mag,
                     "contribution above the current magnitude");
-    if (best_[local] == mag) {
-      assign(local, mag, step);
-    } else if (cnt_[local] == 0) {
-      RETRA_CHECK(best_[local] != ra::kNoOption);
-      assign(local, best_[local], step);
+    if (best_[local] != mag && cnt_[local] != 0) return false;
+    RETRA_CHECK(best_[local] != ra::kNoOption);
+    values_[local] = best_[local];
+    ++stats.assignments;
+    ++work;
+    meter.charge(msg::WorkKind::kAssign);
+    return true;
+  }
+
+  unsigned drain_slices() const {
+    return static_cast<unsigned>(threads_drain_);
+  }
+
+  /// The apply slice owning local offset `local`: slices are
+  /// exec::chunk_range over the local range, so this counts the slice
+  /// starts at or below it (branch-free; a handful of compares).
+  unsigned slice_of(std::uint64_t local) const {
+    unsigned slice = 0;
+    for (std::size_t k = 1; k < slice_begin_.size(); ++k) {
+      slice += local >= slice_begin_[k] ? 1u : 0u;
     }
+    return slice;
   }
 
   void process_queue(StepReport& step) {
     if (queue_.empty()) return;
     RETRA_OBS_SCOPED_TIMER(timer, obs::Id::kEngineDrainSeconds);
     // Wave drain: predecessor generation — the dominant kernel — runs
-    // chunk-parallel over a snapshot of the queue; the staged updates are
-    // applied in chunk order on this thread and refill the queue with the
-    // next wave.  Each position is popped exactly once, so the update
-    // multiset (and every counter) matches a LIFO drain; the chunk-order
-    // merge makes the record stream identical for every T.
+    // chunk-parallel over a snapshot of the queue, then the slices apply
+    // the local updates in parallel and refill the queue with the next
+    // wave (see the file comment for why the order is the serial one).
     //
     // Out-of-core builds hand the wave over in bounded segments replayed
     // from the queue's run files.  Segmentation cannot change the result:
     // the merged record/apply sequence is wave-position order either way,
     // generation reads only values_ of already-finalised wave members
     // (which applies never touch — they assign only kUnknown positions,
-    // and those are never queued), and positions seeded during a segment's
-    // applies join the *next* wave exactly as before.
+    // and those are never queued), and positions finalised during a
+    // segment's applies join the *next* wave exactly as before.
     while (!queue_.empty()) {
-      std::vector<ChunkOut> outs;
       queue_.drain([&](std::span<const std::uint64_t> wave) {
-        run_chunked(
-            wave.size(), threads_drain_, UpdateRecord::kWireSize, outs,
-            [&](const exec::ChunkRange& range, ChunkOut& out) {
-              for (std::uint64_t i = range.begin; i < range.end; ++i) {
-                // The wave array is sequential but the values_ it indexes
-                // are not; fetch the cacheline of the position a few
-                // iterations ahead while this one's predecessors generate.
-                if (i + kPrefetchAhead < range.end) {
-                  exec::prefetch_read(values_.data() +
-                                      wave[i + kPrefetchAhead]);
-                }
-                const std::uint64_t local = wave[i];
-                const auto contribution =
-                    static_cast<db::Value>(-values_[local]);
-                const idx::Index global = partition_.to_global(rank(), local);
-                game_.visit_predecessors(global, [&](idx::Index pred) {
-                  out.meter.charge(msg::WorkKind::kPredEdge);
-                  const int owner = partition_.owner(pred);
-                  if (owner == rank()) {
-                    ++out.stats.updates_local;
-                    out.applies.push_back(
-                        LocalUpdate{partition_.to_local(pred), contribution});
-                  } else {
-                    ++out.stats.updates_remote;
-                    UpdateRecord record;
-                    record.target = pred;
-                    record.contribution = contribution;
-                    stage(out.staged, owner, record);
-                  }
-                });
+        // Waking the pool twice costs more than a small wave's work.
+        const bool on_pool = wave.size() >= kMinPooledWave;
+        generate_wave(wave, on_pool);
+        apply_wave(step, on_pool);
+      });
+    }
+  }
+
+  /// Generation half of a wave: chunk c of `wave` stages its remote
+  /// updates and buckets its local ones by apply slice.
+  void generate_wave(std::span<const std::uint64_t> wave, bool on_pool) {
+    RETRA_OBS_SCOPED_TIMER(timer, obs::Id::kEngineDrainGenerateSeconds);
+    run_chunked(
+        wave.size(), threads_drain_, UpdateRecord::kWireSize, drain_outs_,
+        [&](const exec::ChunkRange& range, ChunkOut& out) {
+          // Counted locally and charged once, for the same reason as the
+          // apply slices' tallies.
+          std::uint64_t seq = 0;
+          std::uint64_t remote = 0;
+          for (std::uint64_t i = range.begin; i < range.end; ++i) {
+            // The wave array is sequential but the values_ it indexes are
+            // not; fetch the cacheline of the position a few iterations
+            // ahead while this one's predecessors generate.
+            if (i + kPrefetchAhead < range.end) {
+              exec::prefetch_read(values_.data() + wave[i + kPrefetchAhead]);
+            }
+            const std::uint64_t local = wave[i];
+            const auto contribution = static_cast<db::Value>(-values_[local]);
+            const idx::Index global = partition_.to_global(rank_, local);
+            game_.visit_predecessors(global, [&](idx::Index pred) {
+              const Partition::Location where = partition_.locate(pred);
+              if (where.owner == rank_) {
+                out.to_slice[slice_of(where.local)].push_back(SliceUpdate{
+                    where.local, static_cast<std::uint32_t>(seq),
+                    contribution});
+                ++seq;
+              } else {
+                ++remote;
+                UpdateRecord record;
+                record.target = pred;
+                record.contribution = contribution;
+                stage(out.staged, where.owner, record);
               }
             });
-        merge_chunks(outs, step, update_combiner_);
-      });
+          }
+          RETRA_CHECK_MSG(seq <= UINT32_MAX, "drain chunk sequence overflow");
+          out.stats.updates_local += seq;
+          out.stats.updates_remote += remote;
+          out.meter.charge(msg::WorkKind::kPredEdge, seq + remote);
+        },
+        on_pool);
+  }
+
+  /// Apply half of a wave: slice s applies its buckets from every chunk in
+  /// (chunk, seq) order.  Chunk c's finalised positions are merged into
+  /// seq order by whichever slice finishes chunk c last, so the serial
+  /// merge only replays records and pushes the queue.
+  void apply_wave(StepReport& step, bool on_pool) {
+    RETRA_OBS_SCOPED_TIMER(timer, obs::Id::kEngineDrainApplySeconds);
+    const unsigned slices = drain_slices();
+    for (unsigned c = 0; c < slices; ++c) {
+      drain_done_[c].store(0, std::memory_order_relaxed);
+    }
+    fork_join(values_.size(), slices,
+              [&](const exec::ChunkRange&, unsigned s) {
+                ChunkOut& mine = drain_outs_[s];
+                // Tallies stay on this thread's stack until the slice is
+                // done: the ChunkOuts sit side by side, and per-update
+                // writes into them would bounce cache lines between slices.
+                EngineStats stats;
+                msg::WorkMeter meter;
+                std::uint64_t work = 0;
+                for (unsigned c = 0; c < slices; ++c) {
+                  const std::vector<SliceUpdate>& bucket =
+                      drain_outs_[c].to_slice[s];
+                  std::vector<Finalised>& finalised = mine.finalised[c];
+                  const std::size_t n = bucket.size();
+                  for (std::size_t i = 0; i < n; ++i) {
+                    if (i + kPrefetchAhead < n) {
+                      const std::uint64_t ahead =
+                          bucket[i + kPrefetchAhead].local;
+                      exec::prefetch_read(values_.data() + ahead);
+                      exec::prefetch_read(cnt_.data() + ahead);
+                      exec::prefetch_read(best_.data() + ahead);
+                    }
+                    const SliceUpdate& update = bucket[i];
+                    if (apply_update(update.local, update.contribution, stats,
+                                     meter, work)) {
+                      finalised.push_back(
+                          Finalised{update.seq, update.local});
+                    }
+                  }
+                  // acq_rel: the last slice through sees every slice's
+                  // list for chunk c complete.
+                  if (drain_done_[c].fetch_add(1, std::memory_order_acq_rel) +
+                          1 ==
+                      slices) {
+                    merge_finalised(c);
+                  }
+                }
+                mine.stats += stats;
+                mine.meter += meter;
+                mine.work += work;
+              },
+              on_pool);
+    merge_chunks(drain_outs_, step, update_combiner_);
+  }
+
+  /// Interleaves every slice's finalised list for chunk c by seq into
+  /// chunk c's queue order.  Seqs are unique within a chunk.
+  void merge_finalised(unsigned c) {
+    std::vector<std::uint64_t>& merged = drain_outs_[c].seeded;
+    std::vector<Cursor>& cursors = merge_cursors_[c];
+    cursors.clear();
+    for (const ChunkOut& slice : drain_outs_) {
+      const std::vector<Finalised>& list = slice.finalised[c];
+      if (!list.empty()) {
+        cursors.push_back(Cursor{list.data(), list.data() + list.size()});
+      }
+    }
+    while (cursors.size() > 1) {
+      std::size_t min = 0;
+      for (std::size_t k = 1; k < cursors.size(); ++k) {
+        if (cursors[k].next->seq < cursors[min].next->seq) min = k;
+      }
+      merged.push_back(cursors[min].next->local);
+      if (++cursors[min].next == cursors[min].end) {
+        cursors[min] = cursors.back();
+        cursors.pop_back();
+      }
+    }
+    if (!cursors.empty()) {
+      for (const Finalised* f = cursors[0].next; f != cursors[0].end; ++f) {
+        merged.push_back(f->local);
+      }
     }
   }
 
@@ -755,6 +925,7 @@ class RankEngine {
   const Game& game_;
   const Partition& partition_;
   msg::Comm& comm_;
+  const int rank_;  // comm_.rank(), read on every update without a call
   const DistributedDatabase& lower_;
   const int bound_;
   const int threads_scan_;   // chunks for Init scan / seeding / zero-fill
@@ -778,6 +949,16 @@ class RankEngine {
   int magnitude_ = 0;
 
   SpillQueue queue_;  // local offsets awaiting propagation
+
+  // Drain-wave state, reused by every wave of the level.
+  struct Cursor {
+    const Finalised* next;
+    const Finalised* end;
+  };
+  std::vector<ChunkOut> drain_outs_;  // chunk c = generation chunk + slice c
+  std::vector<std::uint64_t> slice_begin_;  // first local of each slice
+  std::unique_ptr<std::atomic<unsigned>[]> drain_done_;  // slices past chunk c
+  std::vector<std::vector<Cursor>> merge_cursors_;  // merge_finalised scratch
 
   std::unique_ptr<exec::WorkerPool> pool_;  // only when threads_ > 1
 

@@ -31,50 +31,6 @@ Partition::Partition(PartitionScheme scheme, std::uint64_t size, int ranks,
   }
 }
 
-int Partition::owner(idx::Index index) const {
-  RETRA_DCHECK(index < size_);
-  switch (scheme_) {
-    case PartitionScheme::kBlock:
-      return static_cast<int>(index / block_size_);
-    case PartitionScheme::kCyclic:
-      return static_cast<int>(index % uranks());
-    case PartitionScheme::kBlockCyclic:
-      return static_cast<int>((index / block_size_) % uranks());
-  }
-  return 0;
-}
-
-std::uint64_t Partition::to_local(idx::Index index) const {
-  RETRA_DCHECK(index < size_);
-  switch (scheme_) {
-    case PartitionScheme::kBlock:
-      return index % block_size_;
-    case PartitionScheme::kCyclic:
-      return index / uranks();
-    case PartitionScheme::kBlockCyclic:
-      return (index / (block_size_ * uranks())) * block_size_ +
-             index % block_size_;
-  }
-  return 0;
-}
-
-idx::Index Partition::to_global(int rank, std::uint64_t local) const {
-  switch (scheme_) {
-    case PartitionScheme::kBlock:
-      return static_cast<idx::Index>(rank) * block_size_ + local;
-    case PartitionScheme::kCyclic:
-      return local * uranks() + static_cast<std::uint64_t>(rank);
-    case PartitionScheme::kBlockCyclic: {
-      const std::uint64_t super = local / block_size_;  // round number
-      const std::uint64_t offset = local % block_size_;
-      return (super * uranks() + static_cast<std::uint64_t>(rank)) *
-                 block_size_ +
-             offset;
-    }
-  }
-  return 0;
-}
-
 std::uint64_t Partition::local_size(int rank) const {
   switch (scheme_) {
     case PartitionScheme::kBlock: {

@@ -52,10 +52,9 @@ struct MachineModel {
 
   /// Worker threads inside each rank (two-level parallelism, P×T).  The
   /// engines' chunk-parallel phases — the Init scan with its option
-  /// pricing — divide across the workers; queue propagation, update
-  /// application and message handling stay on the rank thread, exactly
-  /// as in para::RankEngine.  1 models the paper's single-threaded
-  /// nodes.
+  /// pricing — divide across the workers; update application and
+  /// message handling are priced on the rank thread (see
+  /// chunk_parallel_kind).  1 models the paper's single-threaded nodes.
   int worker_threads = 1;
 
   /// Per-phase overrides mirroring EngineConfig::threads_scan /
@@ -88,8 +87,10 @@ struct MachineModel {
   /// kPredEdge by threads_drain().  kAssign is excluded even though the
   /// seeding sweep is chunked too: most assignments happen while
   /// applying staged updates on the rank thread and the meter does not
-  /// distinguish them.  kUpdateApply and record pack/unpack stay serial,
-  /// exactly as in para::RankEngine.
+  /// distinguish them.  kUpdateApply is priced serially for the same
+  /// reason: para::RankEngine applies a wave's local updates in parallel
+  /// slices but incoming update records on the rank thread, and the
+  /// meter charges both alike.  Record pack/unpack stay serial.
   static constexpr bool chunk_parallel_kind(msg::WorkKind kind) {
     return kind == msg::WorkKind::kScanPosition ||
            kind == msg::WorkKind::kExitOption ||

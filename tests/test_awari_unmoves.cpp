@@ -1,7 +1,10 @@
 // The retrograde step lives or dies on move/unmove duality: the multiset of
 // predecessor edges reported by predecessors() must be exactly the inverse
 // of the multiset of same-level (non-capturing) forward edges.  These tests
-// verify that exhaustively for every position of the small levels.
+// verify that exhaustively for every position of the small levels.  The
+// oracle below enumerates reverse sowings and forward-verifies each one
+// with apply_move; predecessors() must yield exactly its boards in exactly
+// its order, because that order fixes the engines' update record stream.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,9 +13,64 @@
 
 #include "retra/game/awari.hpp"
 #include "retra/index/board_index.hpp"
+#include "retra/support/numeric.hpp"
 
 namespace retra::game {
 namespace {
+
+/// Every reverse sowing of `board`, origin-major and length-minor, kept
+/// when a full apply_move re-sow reaches `board` without a capture.
+void oracle_predecessors(const Board& board, std::vector<Board>& out) {
+  using support::to_size;
+  out.clear();
+  Board pp;
+  for (int i = 0; i < idx::kPits; ++i) {
+    pp[to_size(i)] = board[to_size((i + 6) % idx::kPits)];
+  }
+  const int total = idx::stones_on(board);
+  for (int origin = 0; origin < 6; ++origin) {
+    if (pp[to_size(origin)] != 0) continue;
+    Board sown{};
+    int pos = origin;
+    for (int length = 1; length <= total; ++length) {
+      pos = (pos + 1) % idx::kPits;
+      if (pos == origin) pos = (pos + 1) % idx::kPits;
+      sown[to_size(pos)] = static_cast<std::uint8_t>(sown[to_size(pos)] + 1);
+      if (sown[to_size(pos)] > pp[to_size(pos)]) break;
+      Board candidate;
+      for (int i = 0; i < idx::kPits; ++i) {
+        candidate[to_size(i)] =
+            static_cast<std::uint8_t>(pp[to_size(i)] - sown[to_size(i)]);
+      }
+      candidate[to_size(origin)] = static_cast<std::uint8_t>(length);
+      const AppliedMove forward = apply_move(candidate, origin);
+      if (forward.legal && forward.captured == 0 && forward.after == board) {
+        out.push_back(candidate);
+      }
+    }
+  }
+}
+
+class UnmoveOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(UnmoveOracle, SameBoardsInSameOrder) {
+  const int level = GetParam();
+  std::vector<Board> got;
+  std::vector<Board> want;
+  std::uint64_t edges = 0;
+  idx::for_each_board(level, [&](const Board& board, idx::Index i) {
+    predecessors(board, got);
+    oracle_predecessors(board, want);
+    ASSERT_EQ(got, want) << "level " << level << " index " << i << " "
+                         << board_to_string(board);
+    edges += got.size();
+  });
+  if (level >= 1) {
+    EXPECT_GT(edges, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, UnmoveOracle, ::testing::Range(0, 15));
 
 using Edge = std::pair<idx::Index, idx::Index>;  // (from, to), same level
 

@@ -44,6 +44,16 @@ TEST_P(PartitionInvariants, OwnerLocalGlobalAreConsistent) {
   }
 }
 
+TEST_P(PartitionInvariants, LocateMatchesOwnerAndToLocal) {
+  const Case c = GetParam();
+  const Partition partition(c.scheme, c.size, c.ranks, c.block);
+  for (std::uint64_t i = 0; i < c.size; ++i) {
+    const Partition::Location where = partition.locate(i);
+    ASSERT_EQ(where.owner, partition.owner(i)) << "index " << i;
+    ASSERT_EQ(where.local, partition.to_local(i)) << "index " << i;
+  }
+}
+
 TEST_P(PartitionInvariants, LocalSizesSumToTotal) {
   const Case c = GetParam();
   const Partition partition(c.scheme, c.size, c.ranks, c.block);
@@ -56,12 +66,15 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, PartitionInvariants,
     ::testing::Values(
         Case{PartitionScheme::kBlock, 100, 7, 1},
+        Case{PartitionScheme::kBlock, 37, 1, 1},
         Case{PartitionScheme::kBlock, 1, 4, 1},
         Case{PartitionScheme::kBlock, 4096, 64, 1},
         Case{PartitionScheme::kCyclic, 100, 7, 1},
+        Case{PartitionScheme::kCyclic, 37, 1, 1},
         Case{PartitionScheme::kCyclic, 3, 8, 1},
         Case{PartitionScheme::kCyclic, 4096, 64, 1},
         Case{PartitionScheme::kBlockCyclic, 100, 7, 4},
+        Case{PartitionScheme::kBlockCyclic, 37, 1, 8},
         Case{PartitionScheme::kBlockCyclic, 1000, 3, 16},
         Case{PartitionScheme::kBlockCyclic, 4097, 64, 32},
         Case{PartitionScheme::kBlockCyclic, 5, 2, 64}));

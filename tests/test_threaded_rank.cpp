@@ -7,8 +7,14 @@
 // changes wall clock.  The same holds for per-phase splits
 // (threads_scan != threads_drain) and for the exec::simd sweep-kernel
 // backend: scalar and vector builds are bit-identical too.
+#include <unistd.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -17,6 +23,7 @@
 #include "retra/game/awari_level.hpp"
 #include "retra/game/graph_game.hpp"
 #include "retra/game/kalah_level.hpp"
+#include "retra/msg/thread_comm.hpp"
 #include "retra/obs/metrics.hpp"
 #include "retra/para/parallel_solver.hpp"
 #include "retra/ra/builder.hpp"
@@ -253,6 +260,133 @@ INSTANTIATE_TEST_SUITE_P(Grid, PhaseSplit,
                                            std::make_tuple(2, 3, 2),
                                            std::make_tuple(2, 8, 3),
                                            std::make_tuple(3, 2, 5)));
+
+// The drain applies local updates in per-slice fork-joins: 7 drain
+// threads give more slices than most hosts have cores and slices of
+// uneven width, and the out-of-core cases replay each wave from run files
+// in 256-entry segments (the smallest the engine still hands to the pool).
+// Everything observable must equal the one-slice run's.
+class SlicedApply
+    : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
+
+TEST_P(SlicedApply, MatchesOneSliceRun) {
+  const auto [ranks, threads_drain, out_of_core] = GetParam();
+  const std::string scratch =
+      (std::filesystem::temp_directory_path() /
+       ("retra_sliced_" + std::to_string(::getpid()) + "_" +
+        std::to_string(ranks) + "_" + std::to_string(threads_drain)))
+          .string();
+  auto build = [&](int drain, const std::string& tag) {
+    ParallelConfig config = with_threads(ranks, 1);
+    config.threads_drain = drain;
+    if (out_of_core) {
+      config.store.working_set_bytes = 4096;
+      config.store.scratch_dir = scratch + "/" + tag;
+      config.store.queue_mem_entries = 256;
+    }
+    return build_parallel(game::AwariFamily{}, 7, config);
+  };
+  {
+    const ParallelResult reference = build(1, "reference");
+    const ParallelResult sliced = build(threads_drain, "sliced");
+    expect_same_run(sliced, reference);
+  }
+  std::filesystem::remove_all(scratch);
+}
+
+/// ThreadWorld endpoints that fold every payload they send, in send order,
+/// into one FNV-1a digest per (source, destination) stream — the streams
+/// a receiver observes and the engines keep identical for every T (the
+/// interleaving *across* destinations is not).  Equal digests mean equal
+/// record streams, which counts and sizes alone cannot show.
+class RecordingWorld {
+ public:
+  explicit RecordingWorld(int ranks) : inner_(ranks) {
+    for (int rank = 0; rank < ranks; ++rank) {
+      endpoints_.push_back(std::make_unique<Endpoint>(inner_.endpoint(rank)));
+    }
+  }
+
+  msg::Comm& endpoint(int rank) {
+    return *endpoints_[static_cast<std::size_t>(rank)];
+  }
+
+  std::vector<std::uint64_t> digests() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& endpoint : endpoints_) {
+      out.insert(out.end(), endpoint->digests.begin(),
+                 endpoint->digests.end());
+    }
+    return out;
+  }
+
+ private:
+  class Endpoint : public msg::Comm {
+   public:
+    explicit Endpoint(msg::Comm& inner)
+        : digests(static_cast<std::size_t>(inner.size()),
+                  0xcbf29ce484222325ULL),
+          inner_(inner) {}
+    int rank() const override { return inner_.rank(); }
+    int size() const override { return inner_.size(); }
+    void send(int dest, std::uint8_t tag,
+              std::vector<std::byte> payload) override {
+      std::uint64_t& digest = digests[static_cast<std::size_t>(dest)];
+      mix(digest, tag);
+      for (const std::byte b : payload) {
+        mix(digest, static_cast<std::uint64_t>(b));
+      }
+      inner_.send(dest, tag, std::move(payload));
+    }
+    bool try_recv(msg::Message& out) override { return inner_.try_recv(out); }
+
+    std::vector<std::uint64_t> digests;  // by destination
+
+   private:
+    static void mix(std::uint64_t& digest, std::uint64_t v) {
+      digest ^= v;
+      digest *= 0x100000001b3ULL;
+    }
+    msg::Comm& inner_;
+  };
+
+  msg::ThreadWorld inner_;
+  std::vector<std::unique_ptr<Endpoint>> endpoints_;
+};
+
+std::vector<std::uint64_t> record_stream_digests(int ranks,
+                                                 int threads_drain) {
+  RecordingWorld world(ranks);
+  ParallelConfig config = with_threads(ranks, 1);
+  config.threads_drain = threads_drain;
+  const ParallelResult result = build_levels(
+      game::AwariFamily{}, 7, config, world, nullptr,
+      [](int, auto& engines) -> std::uint64_t {
+        return run_bsp_sequential(engines);
+      });
+  EXPECT_EQ(result.database->gather(),
+            ra::build_database(game::AwariFamily{}, 7));
+  return world.digests();
+}
+
+TEST(SlicedApplyStream, RecordStreamsMatchOneSliceRun) {
+  // The next wave's order decides the order of every update record the
+  // wave after it sends, so this pins the (chunk, seq) merge exactly.
+  for (const int ranks : {2, 3}) {
+    const std::vector<std::uint64_t> reference =
+        record_stream_digests(ranks, 1);
+    for (const int threads_drain : {2, 3, 4, 7}) {
+      EXPECT_EQ(record_stream_digests(ranks, threads_drain), reference)
+          << "P=" << ranks << " Tdrain=" << threads_drain;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SlicedApply,
+    ::testing::Combine(::testing::Values(1, 2),
+                       ::testing::Values(1, 2, 3, 4, 7),
+                       ::testing::Bool()));
 
 TEST(SimdBackends, BuildsBitIdenticalAcrossBackendsAndSplits) {
   // The engines must not observe which sweep-kernel backend ran: for a
