@@ -23,7 +23,7 @@
 // is picked at startup (compile-time scalar fallback via the RETRA_SIMD
 // CMake option, runtime dispatch via cpuid on x86-64); tests and benches
 // can pin a narrower backend with set_active().  Raw intrinsics are
-// confined to src/exec/src/simd.cpp — the retra_lint `simd-containment`
+// confined to src/exec/src/simd.cpp — the retra_analyze `simd-containment`
 // rule keeps them out of the rest of the tree.
 #pragma once
 

@@ -1,5 +1,5 @@
 // Sweep-kernel backends.  The only file in the tree allowed to touch raw
-// vector intrinsics (retra_lint rule `simd-containment`); everything else
+// vector intrinsics (retra_analyze rule `simd-containment`); everything else
 // goes through the retra/exec/simd.hpp wrappers.
 //
 // Each kernel has a scalar reference implementation plus SSE2 and AVX2

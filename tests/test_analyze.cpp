@@ -33,6 +33,12 @@ std::string messages(const std::vector<Finding>& findings) {
   return out;
 }
 
+AnalysisInput input_of(std::string path, std::string content) {
+  AnalysisInput input;
+  input.files.push_back({std::move(path), std::move(content)});
+  return input;
+}
+
 // ------------------------------------------------------------------
 // Tokenizer
 
@@ -101,13 +107,375 @@ TEST(Tokenizer, StripToCodeHandlesRawStrings) {
 }
 
 // ------------------------------------------------------------------
-// lock-coverage
+// pragma-once
 
-AnalysisInput input_of(std::string path, std::string content) {
-  AnalysisInput input;
-  input.files.push_back({std::move(path), std::move(content)});
-  return input;
+TEST(PragmaOnce, HeaderWithGuardPasses) {
+  const auto findings = analyze_files(input_of(
+      "src/db/include/retra/db/x.hpp", "// comment\n#pragma once\nint f();\n"));
+  EXPECT_FALSE(has_rule(findings, "pragma-once"));
 }
+
+TEST(PragmaOnce, HeaderWithoutGuardFails) {
+  const auto findings = analyze_files(input_of(
+      "src/db/include/retra/db/x.hpp", "int f();\n"));
+  ASSERT_TRUE(has_rule(findings, "pragma-once"));
+}
+
+TEST(PragmaOnce, GuardMustPrecedeCode) {
+  const auto findings = analyze_files(input_of(
+      "src/db/include/retra/db/x.hpp", "int f();\n#pragma once\n"));
+  EXPECT_TRUE(has_rule(findings, "pragma-once"));
+}
+
+TEST(PragmaOnce, SourceFilesAreExempt) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp", "int f() { return 1; }\n"));
+  EXPECT_FALSE(has_rule(findings, "pragma-once"));
+}
+
+// ------------------------------------------------------------------
+// include-hygiene
+
+TEST(IncludeHygiene, FullProjectPathPasses) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp",
+      "#include \"retra/db/database.hpp\"\n#include <vector>\n"));
+  EXPECT_FALSE(has_rule(findings, "include-hygiene"));
+}
+
+TEST(IncludeHygiene, RelativeQuotedIncludeUnderSrcFails) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp", "#include \"database.hpp\"\n"));
+  EXPECT_TRUE(has_rule(findings, "include-hygiene"));
+}
+
+TEST(IncludeHygiene, QuotedIncludeOutsideSrcIsAllowed) {
+  const auto findings = analyze_files(input_of(
+      "bench/bench_x.cpp", "#include \"bench_common.hpp\"\n"));
+  EXPECT_FALSE(has_rule(findings, "include-hygiene"));
+}
+
+TEST(IncludeHygiene, BitsIncludeFails) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp", "#include <bits/stdc++.h>\n"));
+  EXPECT_TRUE(has_rule(findings, "include-hygiene"));
+}
+
+TEST(IncludeHygiene, ParentTraversalFails) {
+  const auto findings = analyze_files(input_of(
+      "tests/x.cpp", "#include \"../src/db/secret.hpp\"\n"));
+  EXPECT_TRUE(has_rule(findings, "include-hygiene"));
+}
+
+// ------------------------------------------------------------------
+// determinism
+
+TEST(Determinism, WallClockInSolverPathFails) {
+  const auto findings = analyze_files(input_of(
+      "src/para/include/retra/para/x.hpp",
+      "#pragma once\nauto t = std::chrono::steady_clock::now();\n"));
+  EXPECT_TRUE(has_rule(findings, "determinism"));
+}
+
+TEST(Determinism, StdRandInMsgPathFails) {
+  const auto findings = analyze_files(input_of(
+      "src/msg/src/x.cpp", "int r = std::rand();\n"));
+  EXPECT_TRUE(has_rule(findings, "determinism"));
+}
+
+TEST(Determinism, SupportTimerIsOutOfScope) {
+  const auto findings = analyze_files(input_of(
+      "src/support/include/retra/support/timer.hpp",
+      "#pragma once\nusing Clock = std::chrono::steady_clock;\n"));
+  EXPECT_FALSE(has_rule(findings, "determinism"));
+}
+
+TEST(Determinism, MentionInCommentOrStringIsIgnored) {
+  const auto findings = analyze_files(input_of(
+      "src/para/src/x.cpp",
+      "// steady_clock would break determinism\n"
+      "const char* s = \"rand\";\n"));
+  EXPECT_FALSE(has_rule(findings, "determinism"));
+}
+
+TEST(Determinism, SeededXoshiroPasses) {
+  const auto findings = analyze_files(input_of(
+      "src/para/src/x.cpp", "support::Xoshiro256 rng(42);\n"));
+  EXPECT_FALSE(has_rule(findings, "determinism"));
+}
+
+// Regression: the pre-tokenizer stripper tracked quotes character by
+// character, so the inner `"` of a raw string ended its string state
+// early and banned words inside the literal leaked into the token scan.
+TEST(Determinism, RawStringContentsAreIgnored) {
+  // The banned words sit after an embedded quote, exactly where the old
+  // stripper had already (wrongly) left its string state.
+  const auto findings = analyze_files(input_of(
+      "src/para/src/x.cpp",
+      "const char* s = R\"(say \" then rand and mt19937 loudly)\";\n"
+      "int y = 0;\n"));
+  EXPECT_FALSE(has_rule(findings, "determinism"));
+}
+
+// Regression: a digit separator used to be read as the start of a char
+// literal, swallowing the code after it (hiding real findings) or
+// un-hiding literal text (creating false ones).
+TEST(Determinism, DigitSeparatorDoesNotDesyncStripping) {
+  const auto no_fp = analyze_files(input_of(
+      "src/para/src/x.cpp", "int n = 1'000'000;\nconst char* s = \"rand\";\n"));
+  EXPECT_FALSE(has_rule(no_fp, "determinism"));
+
+  const auto real = analyze_files(input_of(
+      "src/para/src/x.cpp", "int n = 1'000'000;\nint r = std::rand();\n"));
+  EXPECT_TRUE(has_rule(real, "determinism"));
+}
+
+// ------------------------------------------------------------------
+// raw-alloc
+
+TEST(RawAlloc, NewUnderSrcFails) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp", "int* p = new int(3);\n"));
+  EXPECT_TRUE(has_rule(findings, "raw-alloc"));
+}
+
+TEST(RawAlloc, DeleteUnderSrcFails) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp", "delete p;\n"));
+  EXPECT_TRUE(has_rule(findings, "raw-alloc"));
+}
+
+TEST(RawAlloc, MakeUniquePasses) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp", "auto p = std::make_unique<int>(3);\n"));
+  EXPECT_FALSE(has_rule(findings, "raw-alloc"));
+}
+
+TEST(RawAlloc, DeletedMemberIsNotAnAllocation) {
+  const auto findings = analyze_files(input_of(
+      "src/db/include/retra/db/x.hpp",
+      "#pragma once\nstruct X {\n  X(const X&) = delete;\n};\n"));
+  EXPECT_FALSE(has_rule(findings, "raw-alloc"));
+}
+
+TEST(RawAlloc, OperatorNewDefinitionIsNotAnAllocation) {
+  const auto findings = analyze_files(input_of(
+      "src/support/src/alloc.cpp", "void* operator new(std::size_t n);\n"));
+  EXPECT_FALSE(has_rule(findings, "raw-alloc"));
+}
+
+TEST(RawAlloc, OutsideSrcIsOutOfScope) {
+  const auto findings = analyze_files(input_of(
+      "tests/x.cpp", "int* p = new int(3);\n"));
+  EXPECT_FALSE(has_rule(findings, "raw-alloc"));
+}
+
+// ------------------------------------------------------------------
+// wire-format
+
+constexpr const char* kGoodWireStruct =
+    "#pragma once\n"
+    "struct GoodRecord {\n"
+    "  std::uint64_t target = 0;\n"
+    "  std::int16_t value = 0;\n"
+    "  static constexpr std::size_t kWireSize = 8 + 2;\n"
+    "};\n"
+    "static_assert(std::is_trivially_copyable_v<GoodRecord>);\n";
+
+TEST(WireFormat, CoveredFixedWidthStructPasses) {
+  const auto findings = analyze_files(input_of(
+      "src/para/include/retra/para/x.hpp", kGoodWireStruct));
+  EXPECT_FALSE(has_rule(findings, "wire-format"));
+}
+
+TEST(WireFormat, MissingTriviallyCopyableAssertFails) {
+  const auto findings = analyze_files(input_of(
+      "src/para/include/retra/para/x.hpp",
+      "#pragma once\n"
+      "struct BadRecord {\n"
+      "  std::uint64_t target = 0;\n"
+      "  static constexpr std::size_t kWireSize = 8;\n"
+      "};\n"));
+  ASSERT_TRUE(has_rule(findings, "wire-format"));
+}
+
+TEST(WireFormat, NonFixedWidthFieldFails) {
+  const auto findings = analyze_files(input_of(
+      "src/para/include/retra/para/x.hpp",
+      "#pragma once\n"
+      "struct BadRecord {\n"
+      "  int target = 0;\n"
+      "  static constexpr std::size_t kWireSize = 4;\n"
+      "};\n"
+      "static_assert(std::is_trivially_copyable_v<BadRecord>);\n"));
+  EXPECT_EQ(count_rule(findings, "wire-format"), 1);
+}
+
+TEST(WireFormat, StructWithoutWireSizeIsNotAWireStruct) {
+  const auto findings = analyze_files(input_of(
+      "src/para/include/retra/para/x.hpp",
+      "#pragma once\n"
+      "struct Stats {\n"
+      "  int anything = 0;\n"
+      "};\n"));
+  EXPECT_FALSE(has_rule(findings, "wire-format"));
+}
+
+TEST(WireFormat, MethodBodiesAreNotFields) {
+  const auto findings = analyze_files(input_of(
+      "src/para/include/retra/para/x.hpp",
+      "#pragma once\n"
+      "struct GoodRecord {\n"
+      "  std::uint64_t target = 0;\n"
+      "  static constexpr std::size_t kWireSize = 8;\n"
+      "  static GoodRecord decode(Reader& r) {\n"
+      "    GoodRecord rec;\n"
+      "    rec.target = r.u64();\n"
+      "    return rec;\n"
+      "  }\n"
+      "};\n"
+      "static_assert(std::is_trivially_copyable_v<GoodRecord>);\n"));
+  EXPECT_FALSE(has_rule(findings, "wire-format"));
+}
+
+// ------------------------------------------------------------------
+// db-level-residency
+
+TEST(DbLevelResidency, DatabaseLevelCallInEngineCodeFails) {
+  const auto findings = analyze_files(input_of(
+      "src/para/src/x.cpp", "auto& v = database.level(3);\n"));
+  EXPECT_TRUE(has_rule(findings, "db-level-residency"));
+}
+
+TEST(DbLevelResidency, PointerReceiverAndQualifiedNameFail) {
+  EXPECT_TRUE(has_rule(
+      analyze_files(input_of(
+          "src/para/include/retra/para/x.hpp",
+          "#pragma once\nauto& v = lower_db->level(n);\n")),
+      "db-level-residency"));
+  EXPECT_TRUE(has_rule(
+      analyze_files(input_of(
+          "src/para/src/x.cpp", "using db::Database::level;\n")),
+      "db-level-residency"));
+}
+
+TEST(DbLevelResidency, GameFamilyLevelAccessorPasses) {
+  const auto findings = analyze_files(input_of(
+      "src/para/src/x.cpp", "decltype(auto) game = family.level(n);\n"));
+  EXPECT_FALSE(has_rule(findings, "db-level-residency"));
+}
+
+TEST(DbLevelResidency, OutsideEngineCodeIsOutOfScope) {
+  const auto findings = analyze_files(input_of(
+      "src/serve/src/x.cpp", "auto& v = database.level(3);\n"));
+  EXPECT_FALSE(has_rule(findings, "db-level-residency"));
+}
+
+TEST(DbLevelResidency, MentionInCommentIsIgnored) {
+  const auto findings = analyze_files(input_of(
+      "src/para/src/x.cpp", "// database.level(3) would bypass the store\n"));
+  EXPECT_FALSE(has_rule(findings, "db-level-residency"));
+}
+
+// ------------------------------------------------------------------
+// simd-containment
+
+TEST(SimdContainment, IntrinsicCallOutsideExecFails) {
+  const auto findings = analyze_files(input_of(
+      "src/para/src/x.cpp",
+      "__m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));\n"));
+  EXPECT_TRUE(has_rule(findings, "simd-containment"));
+}
+
+TEST(SimdContainment, BuiltinIa32OutsideExecFails) {
+  const auto findings = analyze_files(input_of(
+      "src/msg/src/x.cpp", "__builtin_ia32_pause();\n"));
+  EXPECT_TRUE(has_rule(findings, "simd-containment"));
+}
+
+TEST(SimdContainment, IntrinsicsHeaderOutsideExecFails) {
+  EXPECT_TRUE(has_rule(
+      analyze_files(input_of("src/db/src/x.cpp", "#include <immintrin.h>\n")),
+      "simd-containment"));
+  EXPECT_TRUE(has_rule(
+      analyze_files(input_of("bench/bench_x.cpp", "#include <emmintrin.h>\n")),
+      "simd-containment"));
+  EXPECT_TRUE(has_rule(
+      analyze_files(input_of("tools/x/main.cpp", "#include <arm_neon.h>\n")),
+      "simd-containment"));
+}
+
+TEST(SimdContainment, InsideExecIsOutOfScope) {
+  const auto findings = analyze_files(input_of(
+      "src/exec/src/simd.cpp",
+      "#include <immintrin.h>\n__m256i v = _mm256_set1_epi16(3);\n"));
+  EXPECT_FALSE(has_rule(findings, "simd-containment"));
+}
+
+TEST(SimdContainment, WrapperCallsAndMentionsInCommentsPass) {
+  const auto findings = analyze_files(input_of(
+      "src/para/include/retra/para/x.hpp",
+      "#pragma once\n"
+      "#include \"retra/exec/simd.hpp\"\n"
+      "// _mm256_blendv_epi8 would be banned here\n"
+      "auto n = retra::exec::simd::replace_matching(p, len, m, r);\n"));
+  EXPECT_FALSE(has_rule(findings, "simd-containment"));
+}
+
+TEST(SimdContainment, AllowDirectiveSuppresses) {
+  const auto findings = analyze_files(input_of(
+      "src/support/src/x.cpp",
+      "// retra-analyze: allow(simd-containment)\n__builtin_ia32_pause();\n"));
+  EXPECT_FALSE(has_rule(findings, "simd-containment"));
+}
+
+// ------------------------------------------------------------------
+// allow-comment escape
+
+TEST(AllowDirective, SameLineSuppresses) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp",
+      "int* p = new int(3);  // retra-analyze: allow(raw-alloc)\n"));
+  EXPECT_FALSE(has_rule(findings, "raw-alloc"));
+}
+
+TEST(AllowDirective, PreviousLineSuppresses) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp",
+      "// retra-analyze: allow(raw-alloc)\nint* p = new int(3);\n"));
+  EXPECT_FALSE(has_rule(findings, "raw-alloc"));
+}
+
+TEST(AllowDirective, OnlySuppressesTheNamedRule) {
+  const auto findings = analyze_files(input_of(
+      "src/msg/src/x.cpp",
+      "// retra-analyze: allow(raw-alloc)\nint r = std::rand();\n"));
+  EXPECT_TRUE(has_rule(findings, "determinism"));
+}
+
+// ------------------------------------------------------------------
+// finding metadata
+
+TEST(Findings, CarryFileLineAndRule) {
+  const auto findings = analyze_files(input_of(
+      "src/db/src/x.cpp", "int a;\nint* p = new int(3);\n"));
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/db/src/x.cpp");
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_EQ(findings[0].rule, "raw-alloc");
+}
+
+// Scoping keys off the repo-relative module, not a `src/` substring: a
+// directory named src below examples/ is still examples code.
+TEST(Findings, ScopeIsTheTopLevelDirectory) {
+  const auto findings = analyze_files(input_of(
+      "examples/src/x.cpp", "#include \"x.hpp\"\nint* p = new int;\n"));
+  EXPECT_FALSE(has_rule(findings, "include-hygiene")) << messages(findings);
+  EXPECT_FALSE(has_rule(findings, "raw-alloc")) << messages(findings);
+}
+
+// ------------------------------------------------------------------
+// lock-coverage
 
 TEST(LockCoverage, UnannotatedMemberOfMutexClassFails) {
   const auto findings = analyze_locks(input_of("src/exec/pool.hpp",
@@ -512,7 +880,8 @@ at most 256 distinct symbols with code lengths in 1..32.
 )";
 
 AnalysisInput format_input(std::string hpp, std::string doc) {
-  AnalysisInput input;
+  // The protocol/metrics pair is consistent, so only format-doc speaks.
+  AnalysisInput input = spec_input(kMiniProtocol, kMiniProtocolDoc);
   input.files.push_back(
       {"src/db/include/retra/db/format.hpp", std::move(hpp)});
   input.format_doc = std::move(doc);
@@ -521,21 +890,21 @@ AnalysisInput format_input(std::string hpp, std::string doc) {
 
 TEST(FormatDoc, ConsistentPairPasses) {
   const auto findings =
-      analyze_format(format_input(kMiniFormat, kMiniFormatDoc));
+      analyze_spec(format_input(kMiniFormat, kMiniFormatDoc));
   EXPECT_TRUE(findings.empty()) << messages(findings);
 }
 
 TEST(FormatDoc, QuietWhenBothSidesAbsent) {
   // Fixtures without the database layer have nothing to check — the
   // protocol/metrics fixtures above stay clean through analyze_spec.
-  AnalysisInput input;
+  AnalysisInput input = spec_input(kMiniProtocol, kMiniProtocolDoc);
   input.files.push_back({"src/support/timer.hpp", "struct T {};\n"});
-  EXPECT_TRUE(analyze_format(input).empty());
+  EXPECT_TRUE(analyze_spec(input).empty());
 }
 
 TEST(FormatDoc, MissingDocIsCaught) {
   AnalysisInput input = format_input(kMiniFormat, "");
-  const auto findings = analyze_format(input);
+  const auto findings = analyze_spec(input);
   ASSERT_TRUE(has_rule(findings, "format-doc")) << messages(findings);
 }
 
@@ -543,7 +912,7 @@ TEST(FormatDoc, LimitDriftIsCaught) {
   std::string hpp = kMiniFormat;
   hpp.replace(hpp.find("kMaxLevels = 4096"), 17, "kMaxLevels = 2048");
   const auto findings =
-      analyze_format(format_input(std::move(hpp), kMiniFormatDoc));
+      analyze_spec(format_input(std::move(hpp), kMiniFormatDoc));
   ASSERT_TRUE(has_rule(findings, "format-doc")) << messages(findings);
   bool names_ceiling = false;
   for (const Finding& f : findings) {
@@ -557,35 +926,35 @@ TEST(FormatDoc, LimitDriftIsCaught) {
 TEST(FormatDoc, UndocumentedMagicIsCaught) {
   std::string doc = kMiniFormatDoc;
   doc.erase(doc.find("| `RTRADB03` | 3 | compress |\n"), 30);
-  const auto findings = analyze_format(format_input(kMiniFormat, doc));
+  const auto findings = analyze_spec(format_input(kMiniFormat, doc));
   ASSERT_TRUE(has_rule(findings, "format-doc")) << messages(findings);
 }
 
 TEST(FormatDoc, VersionNumberDriftIsCaught) {
   std::string doc = kMiniFormatDoc;
   doc.replace(doc.find("| `RTRADB03` | 3 |"), 18, "| `RTRADB03` | 2 |");
-  const auto findings = analyze_format(format_input(kMiniFormat, doc));
+  const auto findings = analyze_spec(format_input(kMiniFormat, doc));
   ASSERT_TRUE(has_rule(findings, "format-doc")) << messages(findings);
 }
 
 TEST(FormatDoc, StaleDocMagicIsCaught) {
   std::string doc = kMiniFormatDoc;
   doc.insert(doc.find("| `RTRADB03`"), "| `RTRADB04` | 4 | future |\n");
-  const auto findings = analyze_format(format_input(kMiniFormat, doc));
+  const auto findings = analyze_spec(format_input(kMiniFormat, doc));
   ASSERT_TRUE(has_rule(findings, "format-doc")) << messages(findings);
 }
 
 TEST(FormatDoc, SchemeNameDriftIsCaught) {
   std::string doc = kMiniFormatDoc;
   doc.replace(doc.find("| 1 | `rle` |"), 13, "| 1 | `runlen` |");
-  const auto findings = analyze_format(format_input(kMiniFormat, doc));
+  const auto findings = analyze_spec(format_input(kMiniFormat, doc));
   ASSERT_TRUE(has_rule(findings, "format-doc")) << messages(findings);
 }
 
 TEST(FormatDoc, StaleSchemeRowIsCaught) {
   std::string doc = kMiniFormatDoc;
   doc += "| 3 | `lz` |\n";
-  const auto findings = analyze_format(format_input(kMiniFormat, doc));
+  const auto findings = analyze_spec(format_input(kMiniFormat, doc));
   ASSERT_TRUE(has_rule(findings, "format-doc")) << messages(findings);
 }
 
@@ -594,7 +963,7 @@ TEST(FormatDoc, SchemeCountDriftIsCaught) {
   hpp.replace(hpp.find("kBlockSchemeCount = 3"), 21,
               "kBlockSchemeCount = 4");
   const auto findings =
-      analyze_format(format_input(std::move(hpp), kMiniFormatDoc));
+      analyze_spec(format_input(std::move(hpp), kMiniFormatDoc));
   ASSERT_TRUE(has_rule(findings, "format-doc")) << messages(findings);
 }
 

@@ -7,7 +7,7 @@ namespace retra::analyze {
 
 std::vector<Finding> analyze_all(const AnalysisInput& input) {
   std::vector<Finding> findings = analyze_locks(input);
-  for (auto* more : {analyze_layering, analyze_spec}) {
+  for (auto* more : {analyze_layering, analyze_spec, analyze_files}) {
     std::vector<Finding> extra = more(input);
     findings.insert(findings.end(), std::make_move_iterator(extra.begin()),
                     std::make_move_iterator(extra.end()));

@@ -1,28 +1,9 @@
-// The pluggable cross-file analyses (see docs/ANALYSIS.md).
+// The analyses (see docs/ANALYSIS.md for the rule table).
 //
 // Each analysis is a pure function over an AnalysisInput — loaded
-// sources plus the two spec documents — returning findings.  Rules:
-//
-//   lock-coverage   any class with a mutex member must annotate every
-//                   other non-exempt member with RETRA_GUARDED_BY /
-//                   RETRA_PT_GUARDED_BY / RETRA_NOT_GUARDED, and mutex
-//                   members in src/ must use the annotated
-//                   support::Mutex types
-//   io-blocking     no blocking calls inside RETRA_IO_THREAD_ONLY
-//                   function bodies
-//   layer-order     retra/... includes must respect the declared module
-//                   layering (docs/ANALYSIS.md); back-edges and
-//                   same-layer cross-includes are rejected
-//   include-cycle   the retra/... header include graph must be acyclic
-//   protocol-doc    net/protocol.hpp constants/enums must match the
-//                   tables in docs/PROTOCOL.md
-//   metrics-doc     the obs metric catalog must match the table in
-//                   docs/METRICS.md
-//   format-doc      db/format.hpp magics, limits and block schemes must
-//                   match the tables in docs/FORMAT.md
-//
-// Suppression: `// retra-analyze: allow(<rule>)` on the finding's line
-// or the line above.
+// sources plus the spec documents — returning findings.  A
+// `// retra-analyze: allow(<rule>)` comment on the finding's line or the
+// line above suppresses it.
 #pragma once
 
 #include <filesystem>
@@ -58,16 +39,16 @@ std::vector<Finding> analyze_layering(const AnalysisInput& input);
 /// METRICS.md, db/format.hpp vs FORMAT.md.
 std::vector<Finding> analyze_spec(const AnalysisInput& input);
 
-/// Just the format-doc rule (db/format.hpp vs FORMAT.md); a subset of
-/// analyze_spec for `--analysis=format-doc`.
-std::vector<Finding> analyze_format(const AnalysisInput& input);
+/// Per-file rules: pragma-once, include-hygiene, determinism,
+/// raw-alloc, wire-format, db-level-residency, simd-containment.
+std::vector<Finding> analyze_files(const AnalysisInput& input);
 
 /// All analyses, findings ordered by (file, line).
 std::vector<Finding> analyze_all(const AnalysisInput& input);
 
 /// Loads a repository checkout: every analyzable file under src/,
 /// tools/, tests/, bench/ and examples/ (paths made repo-relative) plus
-/// the two spec documents.  Shared by the CLI and the self-test.
+/// the three spec documents.  Shared by the CLI and the self-test.
 AnalysisInput load_repo(const std::filesystem::path& root);
 
 }  // namespace retra::analyze

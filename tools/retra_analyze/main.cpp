@@ -1,11 +1,10 @@
-// retra_analyze — cross-file static analysis for the retra codebase.
+// retra_analyze — static analysis for the retra codebase.
 //
-//   retra_analyze [--analysis=lock,layering,spec,format-doc] <repo-root>
+//   retra_analyze <repo-root>
 //
 // Walks src/, tools/, tests/, bench/ and examples/ under the repo root,
 // loads docs/PROTOCOL.md, docs/METRICS.md and docs/FORMAT.md, and runs
-// the selected analyses (default: all; `spec` covers all three *-doc
-// rules, `format-doc` just the on-disk-format one).  Findings print as
+// every analysis (analyze_all).  Findings print as
 //
 //   <file>:<line>: [<rule>] <message>
 //
@@ -13,98 +12,26 @@
 // docs/ANALYSIS.md for the rules and the suppression syntax.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <string>
 #include <vector>
 
 #include "analysis.hpp"
 
-namespace {
-
-namespace fs = std::filesystem;
-using namespace retra::analyze;
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: retra_analyze "
-               "[--analysis=lock,layering,spec,format-doc] <repo-root>\n");
-  return 2;
-}
-
-bool parse_analyses(const std::string& list, bool& lock, bool& layering,
-                    bool& spec, bool& format) {
-  lock = layering = spec = format = false;
-  std::size_t begin = 0;
-  while (begin <= list.size()) {
-    std::size_t end = list.find(',', begin);
-    if (end == std::string::npos) end = list.size();
-    const std::string name = list.substr(begin, end - begin);
-    if (name == "lock") {
-      lock = true;
-    } else if (name == "layering") {
-      layering = true;
-    } else if (name == "spec") {
-      spec = true;
-    } else if (name == "format-doc") {
-      format = true;
-    } else if (!name.empty()) {
-      std::fprintf(stderr, "retra_analyze: unknown analysis '%s'\n",
-                   name.c_str());
-      return false;
-    }
-    begin = end + 1;
-  }
-  return lock || layering || spec || format;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bool lock = true, layering = true, spec = true, format = false;
-  const char* root_arg = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--analysis=", 11) == 0) {
-      if (!parse_analyses(arg + 11, lock, layering, spec, format)) {
-        return usage();
-      }
-      continue;
-    }
-    if (arg[0] == '-') return usage();
-    if (root_arg != nullptr) return usage();
-    root_arg = arg;
+  namespace fs = std::filesystem;
+  using namespace retra::analyze;
+  if (argc != 2 || argv[1][0] == '-') {
+    std::fprintf(stderr, "usage: retra_analyze <repo-root>\n");
+    return 2;
   }
-  if (root_arg == nullptr) return usage();
-  const fs::path root(root_arg);
+  const fs::path root(argv[1]);
   if (!fs::is_directory(root)) {
-    std::fprintf(stderr, "retra_analyze: not a directory: %s\n", root_arg);
+    std::fprintf(stderr, "retra_analyze: not a directory: %s\n", argv[1]);
     return 2;
   }
 
   const AnalysisInput input = load_repo(root);
-
-  std::vector<Finding> findings;
-  if (lock && layering && spec) {
-    findings = analyze_all(input);
-  } else {
-    if (lock) {
-      auto f = analyze_locks(input);
-      findings.insert(findings.end(), f.begin(), f.end());
-    }
-    if (layering) {
-      auto f = analyze_layering(input);
-      findings.insert(findings.end(), f.begin(), f.end());
-    }
-    if (spec) {
-      auto f = analyze_spec(input);
-      findings.insert(findings.end(), f.begin(), f.end());
-    }
-    if (format && !spec) {  // spec already ran the format-doc rule
-      auto f = analyze_format(input);
-      findings.insert(findings.end(), f.begin(), f.end());
-    }
-  }
+  const std::vector<Finding> findings = analyze_all(input);
   for (const Finding& f : findings) {
     std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(),
                 f.message.c_str());

@@ -19,19 +19,15 @@ bool skipped_dir(const std::filesystem::path& path) {
          name.rfind("cmake-build", 0) == 0 || scratch;
 }
 
-}  // namespace
-
 bool analyzable_file(const std::filesystem::path& path) {
   const std::string ext = path.extension().string();
   return ext == ".hpp" || ext == ".cpp";
 }
 
+}  // namespace
+
 void collect_files(const std::filesystem::path& root,
                    std::vector<std::filesystem::path>& out) {
-  if (std::filesystem::is_regular_file(root)) {
-    if (analyzable_file(root)) out.push_back(root);
-    return;
-  }
   std::filesystem::recursive_directory_iterator it(root), end;
   for (; it != end; ++it) {
     if (it->is_directory() && skipped_dir(it->path())) {

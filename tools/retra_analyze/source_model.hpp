@@ -1,6 +1,6 @@
-// Repo-wide source model shared by retra_analyze and retra_lint: the
-// filesystem walk, include-edge extraction, module classification, and
-// the suppression-directive check.
+// Repo-wide source model of retra_analyze: the filesystem walk,
+// include-edge extraction, module classification, and the
+// suppression-directive check.
 #pragma once
 
 #include <filesystem>
@@ -18,11 +18,8 @@ struct SourceFile {
   std::string content;
 };
 
-/// True for the extensions the analyses understand (.hpp/.cpp).
-bool analyzable_file(const std::filesystem::path& path);
-
-/// Recursively collects analyzable files under `root`, skipping build
-/// output and VCS directories.  `root` may also be a single file.
+/// Recursively collects the .hpp/.cpp files under the directory `root`,
+/// skipping build output and VCS directories.
 void collect_files(const std::filesystem::path& root,
                    std::vector<std::filesystem::path>& out);
 

@@ -817,10 +817,4 @@ std::vector<Finding> analyze_spec(const AnalysisInput& input) {
   return findings;
 }
 
-std::vector<Finding> analyze_format(const AnalysisInput& input) {
-  std::vector<Finding> findings;
-  check_format(input, findings);
-  return findings;
-}
-
 }  // namespace retra::analyze

@@ -1,4 +1,4 @@
-// Lexical C++ tokenizer shared by retra_analyze and retra_lint.
+// Lexical C++ tokenizer behind every retra_analyze rule.
 //
 // Not a parser: it splits source into identifier / number / string /
 // char / punctuation tokens with 1-based line numbers, correctly
@@ -6,8 +6,7 @@
 // strings (R"(...)"), encoding prefixes (u8R"..."), escape sequences,
 // and digit separators (1'000'000).  Everything the analyses conclude
 // is derived from these tokens, so a "rand" inside a string or a quote
-// inside a raw string can never masquerade as code (the false-positive
-// class the old line-based stripper in retra_lint suffered from).
+// inside a raw string can never masquerade as code.
 #pragma once
 
 #include <string>
