@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "retra/db/database.hpp"
@@ -83,17 +84,27 @@ class DistributedDatabase {
   /// gathered in RAM.
   void seal_level_from_builds(int level, std::uint64_t size);
 
-  /// May `rank` read this position without communicating?
-  bool is_local(int rank, int level, idx::Index global) const {
+  /// Where `rank` reads a lower-level position: in its own store at
+  /// `local` when `owner == rank` (always, in replicated mode, where the
+  /// local offset is the global index); otherwise `owner` is the rank to
+  /// ask.
+  Partition::Location locate(int rank, int level, idx::Index global) const {
     RETRA_CHECK(level >= 0 && level < num_levels());
-    return replicated_ ||
-           partitions_[support::to_size(level)].owner(global) == rank;
+    if (replicated_) return {rank, global};
+    return partitions_[support::to_size(level)].locate(global);
   }
 
   /// Value of a lower-level position; callable by `rank` only when
-  /// is_local() — the distributed-memory discipline the engine respects.
-  /// With the file backend this may fault a block in.
+  /// locate() names it the owner — the distributed-memory discipline the
+  /// engine respects.  With the file backend this may fault a block in.
   db::Value value_local(int rank, int level, idx::Index global) const;
+
+  /// Batch read of `rank`'s own store: out[i] = value at store offset
+  /// locals[i] (a locate() local).  Ascending locals let the file backend
+  /// fetch each block once per run; the batch counts once in
+  /// dist_db.local_reads.
+  void values_local(int rank, int level, std::span<const std::uint64_t> locals,
+                    std::span<db::Value> out) const;
 
   /// Owner rank of a position (lookup routing).
   int owner(int level, idx::Index global) const {

@@ -115,7 +115,8 @@ class VerifyEngine {
 
   void probe(std::uint64_t local, int target_level, idx::Index target,
              std::int16_t reward, bool same_mover, StepReport& step) {
-    if (ddb_.is_local(rank(), target_level, target)) {
+    const Partition::Location where = ddb_.locate(rank(), target_level, target);
+    if (where.owner == rank()) {
       const db::Value v =
           ddb_.value_local(rank(), target_level, target);
       const auto value = static_cast<db::Value>(
@@ -132,8 +133,7 @@ class VerifyEngine {
     record.same_mover = same_mover ? 1 : 0;
     std::byte buffer[LookupRecord::kWireSize];
     record.encode(buffer);
-    lookup_combiner_.append(ddb_.owner(target_level, target), buffer,
-                            LookupRecord::kWireSize);
+    lookup_combiner_.append(where.owner, buffer, LookupRecord::kWireSize);
     ++step.records_sent;
   }
 

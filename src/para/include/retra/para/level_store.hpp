@@ -7,12 +7,13 @@
 //
 //   MemoryLevelStore   today's behaviour — completed shards stay dense
 //                      vectors.  Zero-copy: sealing a build moves the
-//                      value vector, lookups are a plain index.
+//                      value vector, lookups are a plain gather.
 //   FileLevelStore     the out-of-core backend.  Sealing a build writes
 //                      the shard to a per-(rank, level) RTRADB03 file in
 //                      the scratch directory (db::save — the same block
 //                      codec as persisted databases) and frees the RAM.
-//                      Lower-level lookups read single blocks back
+//                      Lower-level lookups, batched in ascending order
+//                      by the engine, read each block back once per run
 //                      through serve::FileSource into one
 //                      serve::BlockCache — the same LRU the query
 //                      service uses — which keeps decoded resident bytes
@@ -30,7 +31,8 @@
 //
 // Thread safety: FileLevelStore lookups mutate residency, and the chunk
 // parallel Init scan reads lower levels from worker threads, so the file
-// backend is internally locked (value() only; see the annotations).
+// backend is internally locked (values() only, one lock per run of
+// same-block positions; see the annotations).
 // MemoryLevelStore lookups are plain const reads and need no lock.
 // Everything else — begin/seal/discard, push_shard, visit_shard, stats —
 // is serial-phase only, called between supersteps on the build thread.
@@ -191,9 +193,13 @@ class LevelStore {
     store_shard(std::move(shard));
   }
 
-  /// Value of one completed-level position.  The file backend may fault
-  /// a block in; safe to call from a rank's worker threads.
-  virtual db::Value value(int level, std::uint64_t local) const = 0;
+  /// Values of completed-level positions: out[i] = value at locals[i].
+  /// Any order is correct; ascending order is what makes the file
+  /// backend fetch each block once per run of same-block locals.  The
+  /// file backend may fault blocks in; safe to call from a rank's worker
+  /// threads.
+  virtual void values(int level, std::span<const std::uint64_t> locals,
+                      std::span<db::Value> out) const = 0;
 
   /// Visits the full decoded shard of a completed level (gather,
   /// checkpoint, verification).  Deliberately bypasses the working-set
@@ -220,8 +226,10 @@ class LevelStore {
 /// Dense in-RAM backend: completed shards are plain vectors.
 class MemoryLevelStore final : public LevelStore {
  public:
-  db::Value value(int level, std::uint64_t local) const override {
-    return shards_[support::to_size(level)][local];
+  void values(int level, std::span<const std::uint64_t> locals,
+              std::span<db::Value> out) const override {
+    const std::vector<db::Value>& shard = shards_[support::to_size(level)];
+    for (std::size_t i = 0; i < locals.size(); ++i) out[i] = shard[locals[i]];
   }
   void visit_shard(int level, const ShardVisitor& fn) const override {
     RETRA_CHECK(level >= 0 && level < num_levels());
@@ -250,7 +258,8 @@ class FileLevelStore final : public LevelStore {
   FileLevelStore(const StoreConfig& config, int rank);
   ~FileLevelStore() override;
 
-  db::Value value(int level, std::uint64_t local) const override;
+  void values(int level, std::span<const std::uint64_t> locals,
+              std::span<db::Value> out) const override;
   void visit_shard(int level, const ShardVisitor& fn) const override;
   StoreStats stats() const override;
 

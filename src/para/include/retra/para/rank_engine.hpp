@@ -68,6 +68,19 @@
 // exactly once, so the update multiset matches a LIFO drain's, and the
 // chunk-order merge makes the record stream identical for every T.
 //
+// Init's lower-level reads are block-ordered.  A capture exit lands at a
+// scattered index of a lower level, so reading each one as the scan meets
+// it walks the store in random order, and an out-of-core store whose
+// budget is below the touched blocks faults on nearly every read.  So
+// each scan chunk defers its local exits (up to kScanReads of them), sorts
+// them by (level, local) and reads the store a run of same-block
+// positions at a time, folding each exit's value into best_ with max —
+// order-free, and best_ is not read before Init ends.  The owner side does
+// the same with the lookups of one superstep's inbox (up to kLookupBatch
+// at a time): it reads in (level, local) order, then replies in arrival
+// order, so the reply records and every message are exactly those of
+// answering each lookup on arrival.
+//
 // This mirrors the sequential sweep solver exactly; tests require the
 // gathered distributed database to be bit-identical to the sequential one.
 #pragma once
@@ -272,6 +285,10 @@ class RankEngine {
   void advance() {
     switch (phase_) {
       case Phase::kInit:
+        // Lookups are sent and answered only during Init.
+        lookup_reads_ = {};
+        lookup_askers_ = {};
+        lookup_values_ = {};
         magnitude_ = bound_;
         finalize_init_ = true;
         phase_ = magnitude_ >= 1 ? Phase::kMagnitude : Phase::kZeroFill;
@@ -315,6 +332,14 @@ class RankEngine {
   /// on the rank's thread (same decomposition, same results): below a few
   /// hundred positions the work is cheaper than two pool wake-ups.
   static constexpr std::size_t kMinPooledWave = 256;
+
+  /// Caps of the deferred lower-level reads: local capture exits per scan
+  /// chunk, and incoming lookups per answered batch.  Each deferred read
+  /// holds 16 bytes (a queued lookup 34, with its asker and value).
+  static constexpr std::size_t kScanReads = std::size_t{1} << 15;
+  static constexpr std::size_t kLookupBatch = std::size_t{1} << 15;
+  /// Store reads per values_local() call while resolving.
+  static constexpr std::size_t kReadRun = 256;
 
   static int phase_threads(int requested, const EngineConfig& config) {
     const int t = requested > 0 ? requested : config.threads_per_rank;
@@ -454,6 +479,16 @@ class RankEngine {
     run_chunked(
         local_size, threads_scan_, LookupRecord::kWireSize, outs,
         [&](const exec::ChunkRange& range, ChunkOut& out) {
+          RETRA_CHECK_MSG(range.size() <= UINT32_MAX, "scan chunk too large");
+          // Local capture exits are deferred and resolved in (level,
+          // local) order, a block at a time (see the file comment).
+          std::vector<LowerRead> reads;
+          reads.reserve(std::min<std::uint64_t>(kScanReads, range.size()));
+          const auto fold = [&](std::uint32_t slot, db::Value value) {
+            const std::uint64_t local = range.begin + slot;
+            support::check_chunk(local, "engine.scan_fold");
+            if (value > best_[local]) best_[local] = value;
+          };
           // The cursor walks boards incrementally: to_global is monotonic
           // in `local` under every partition scheme, so successive seeks
           // are short forward hops instead of full unranks.
@@ -473,14 +508,15 @@ class RankEngine {
                     if (exit.reward > b) b = exit.reward;
                     return;
                   }
-                  if (lower_.is_local(rank(), exit.lower_level,
-                                      exit.lower_index)) {
+                  const Partition::Location where = lower_.locate(
+                      rank(), exit.lower_level, exit.lower_index);
+                  if (where.owner == rank()) {
                     ++out.stats.lookups_local;
-                    const db::Value value = game::exit_value(
-                        exit, [&](int level, idx::Index index) {
-                          return lower_.value_local(rank(), level, index);
-                        });
-                    if (value > b) b = value;
+                    if (reads.size() == kScanReads) resolve(reads, fold);
+                    reads.push_back(lower_read(
+                        exit.lower_level, where.local,
+                        static_cast<std::uint32_t>(local - range.begin),
+                        exit.reward, exit.same_mover));
                     return;
                   }
                   // Remote lower-level position: stage a combined lookup
@@ -493,9 +529,7 @@ class RankEngine {
                   record.reward = exit.reward;
                   record.level = static_cast<std::uint8_t>(exit.lower_level);
                   record.same_mover = exit.same_mover ? 1 : 0;
-                  stage(out.staged,
-                        lower_.owner(exit.lower_level, exit.lower_index),
-                        record);
+                  stage(out.staged, where.owner, record);
                 },
                 [&](idx::Index) {
                   out.meter.charge(msg::WorkKind::kLevelEdge);
@@ -503,13 +537,78 @@ class RankEngine {
                 });
             RETRA_CHECK_MSG(edges <= UINT16_MAX,
                             "successor edge count overflow");
-            best_[local] = b;
+            // A max, not a store: a full read batch may already have
+            // folded this position's earlier local exits into best_.
+            if (b > best_[local]) best_[local] = b;
             cnt_[local] = static_cast<std::uint16_t>(edges);
             ++out.work;
           }
+          resolve(reads, fold);
         });
     merge_chunks(outs, step, lookup_combiner_);
     RETRA_OBS_ADD(obs::Id::kEngineScanPositions, local_size);
+  }
+
+  // ------------------------------------------------------------------
+  // Block-ordered lower-level reads.
+
+  /// One deferred read of this rank's lower-level store, for a local
+  /// capture exit (slot = requester's offset in its scan chunk) or an
+  /// incoming lookup (slot = arrival index in the lookup batch).
+  struct LowerRead {
+    std::uint64_t key;  // level << kLocalBits | store local: the sort key
+    std::uint32_t slot;
+    std::int16_t reward;
+    bool same_mover;
+  };
+  static constexpr int kLocalBits = 48;
+
+  static LowerRead lower_read(int level, std::uint64_t local,
+                              std::uint32_t slot, std::int16_t reward,
+                              bool same_mover) {
+    RETRA_CHECK_MSG(local >> kLocalBits == 0, "lower-level offset too large");
+    return LowerRead{
+        static_cast<std::uint64_t>(level) << kLocalBits | local, slot, reward,
+        same_mover};
+  }
+
+  /// Resolves `reads` in (level, local) order — each lower-level block
+  /// is read once per run of its positions, however scattered the reads
+  /// arrived — and calls fold(slot, exit value) for each; then empties
+  /// `reads`.  Reads of one position may resolve in any order: each slot
+  /// gets its own value.  The store is read in runs of at most kReadRun.
+  template <typename Fold>
+  void resolve(std::vector<LowerRead>& reads, Fold&& fold) const {
+    std::sort(reads.begin(), reads.end(),
+              [](const LowerRead& a, const LowerRead& b) {
+                return a.key < b.key;
+              });
+    constexpr std::uint64_t kLocalMask = (std::uint64_t{1} << kLocalBits) - 1;
+    std::array<std::uint64_t, kReadRun> locals;
+    std::array<db::Value, kReadRun> values;
+    for (std::size_t begin = 0; begin < reads.size();) {
+      const std::uint64_t level = reads[begin].key >> kLocalBits;
+      std::size_t n = 0;
+      while (n < kReadRun && begin + n < reads.size() &&
+             reads[begin + n].key >> kLocalBits == level) {
+        locals[n] = reads[begin + n].key & kLocalMask;
+        ++n;
+      }
+      lower_.values_local(rank(), static_cast<int>(level), {locals.data(), n},
+                          {values.data(), n});
+      for (std::size_t i = 0; i < n; ++i) {
+        const LowerRead& read = reads[begin + i];
+        game::Exit exit;
+        exit.reward = read.reward;
+        exit.lower_level = static_cast<std::int16_t>(level);
+        exit.same_mover = read.same_mover;
+        fold(read.slot, game::exit_value(exit, [&](int, idx::Index) {
+               return values[i];
+             }));
+      }
+      begin += n;
+    }
+    reads.clear();
   }
 
   // ------------------------------------------------------------------
@@ -532,8 +631,11 @@ class RankEngine {
           RETRA_CHECK_MSG(false, "unexpected message tag");
       }
     }
+    answer_lookups(step);
   }
 
+  /// Queues incoming lookups into the batch answer_lookups() resolves;
+  /// a full batch is answered at once.
   void handle_lookups(const msg::Message& message, StepReport& step) {
     msg::WireReader reader(message.payload.data());
     const std::size_t count = message.payload.size() / LookupRecord::kWireSize;
@@ -542,17 +644,37 @@ class RankEngine {
       const LookupRecord lookup = LookupRecord::decode(reader);
       comm_.meter().charge(msg::WorkKind::kRecordUnpack);
       ++step.records_received;
-      const db::Value target_value =
-          lower_.value_local(rank(), lookup.level, lookup.target);
+      const Partition::Location where =
+          lower_.locate(rank(), lookup.level, lookup.target);
+      RETRA_CHECK_MSG(where.owner == rank(),
+                      "lookup routed to a non-owner rank");
+      lookup_reads_.push_back(
+          lower_read(lookup.level, where.local,
+                     static_cast<std::uint32_t>(lookup_askers_.size()),
+                     lookup.reward, lookup.same_mover != 0));
+      lookup_askers_.push_back(Asker{lookup.requester, message.source});
+      if (lookup_askers_.size() == kLookupBatch) answer_lookups(step);
+    }
+  }
+
+  /// Answers the pending lookup batch: the store is read in (level, local)
+  /// order, the replies go out in arrival order — the same reply stream,
+  /// and so the same messages, as answering each lookup on arrival.
+  void answer_lookups(StepReport& step) {
+    if (lookup_askers_.empty()) return;
+    lookup_values_.resize(lookup_askers_.size());
+    resolve(lookup_reads_, [&](std::uint32_t slot, db::Value value) {
+      lookup_values_[slot] = value;
+    });
+    for (std::size_t i = 0; i < lookup_askers_.size(); ++i) {
       ReplyRecord reply;
-      reply.requester = lookup.requester;
-      reply.value = static_cast<db::Value>(
-          lookup.same_mover ? lookup.reward + target_value
-                            : lookup.reward - target_value);
+      reply.requester = lookup_askers_[i].requester;
+      reply.value = lookup_values_[i];
       ++stats_.replies_sent;
-      append(reply_combiner_, message.source, reply, step);
+      append(reply_combiner_, lookup_askers_[i].source, reply, step);
       ++step.work;
     }
+    lookup_askers_.clear();
   }
 
   void handle_replies(const msg::Message& message, StepReport& step) {
@@ -961,6 +1083,16 @@ class RankEngine {
   std::vector<std::vector<Cursor>> merge_cursors_;  // merge_finalised scratch
 
   std::unique_ptr<exec::WorkerPool> pool_;  // only when threads_ > 1
+
+  // The incoming lookup batch: its store reads, and who asked, by
+  // arrival index.
+  struct Asker {
+    idx::Index requester;
+    int source;
+  };
+  std::vector<LowerRead> lookup_reads_;
+  std::vector<Asker> lookup_askers_;
+  std::vector<db::Value> lookup_values_;
 
   msg::Combiner lookup_combiner_;
   msg::Combiner reply_combiner_;

@@ -61,17 +61,22 @@ void DistributedDatabase::seal_level_from_builds(int level,
 
 db::Value DistributedDatabase::value_local(int rank, int level,
                                            idx::Index global) const {
+  const Partition::Location where = locate(rank, level, global);
+  RETRA_CHECK_MSG(where.owner == rank,
+                  "partitioned lower-level read from a non-owner rank");
+  db::Value value;
+  values_local(rank, level, {&where.local, 1}, {&value, 1});
+  return value;
+}
+
+void DistributedDatabase::values_local(int rank, int level,
+                                       std::span<const std::uint64_t> locals,
+                                       std::span<db::Value> out) const {
   support::check_owned(rank, "dist_db.value_local", level);
   RETRA_CHECK(level >= 0 && level < num_levels());
-  RETRA_OBS_INC(obs::Id::kDistDbLocalReads);
-  if (replicated_) {
-    return stores_[to_size(rank)]->value(level, global);
-  }
-  const Partition& partition = partitions_[to_size(level)];
-  const int owner_rank = partition.owner(global);
-  RETRA_CHECK_MSG(owner_rank == rank,
-                  "partitioned lower-level read from a non-owner rank");
-  return stores_[to_size(rank)]->value(level, partition.to_local(global));
+  RETRA_CHECK(locals.size() == out.size());
+  RETRA_OBS_ADD(obs::Id::kDistDbLocalReads, locals.size());
+  stores_[to_size(rank)]->values(level, locals, out);
 }
 
 db::Database DistributedDatabase::gather() const {

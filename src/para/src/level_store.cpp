@@ -57,14 +57,27 @@ void FileLevelStore::store_shard(std::vector<db::Value> shard) {
   levels_.push_back(std::move(spilled));
 }
 
-db::Value FileLevelStore::value(int level, std::uint64_t local) const {
-  support::MutexLock lock(mutex_);
-  serve::FileSource& source = *levels_[support::to_size(level)].source;
-  const int block = source.block_of(0, local);
-  const serve::BlockCache::Block& data =
-      cache_.get({level, block}, source.block_decoded_bytes(0, block),
-                 [&] { return source.read_block(0, block); });
-  return data->get(local - source.block_begin(0, block));
+void FileLevelStore::values(int level, std::span<const std::uint64_t> locals,
+                            std::span<db::Value> out) const {
+  std::size_t i = 0;
+  while (i < locals.size()) {
+    // One lock and one cache get per run of same-block locals; the block
+    // is held by reference count, so the run's reads need no lock.
+    std::uint64_t begin;
+    serve::BlockCache::Block data;
+    {
+      support::MutexLock lock(mutex_);
+      serve::FileSource& source = *levels_[support::to_size(level)].source;
+      const int block = source.block_of(0, locals[i]);
+      begin = source.block_begin(0, block);
+      data = cache_.get({level, block}, source.block_decoded_bytes(0, block),
+                        [&] { return source.read_block(0, block); });
+    }
+    const std::uint64_t end = begin + data->size();
+    for (; i < locals.size() && locals[i] >= begin && locals[i] < end; ++i) {
+      out[i] = data->get(locals[i] - begin);
+    }
+  }
 }
 
 void FileLevelStore::visit_shard(int level, const ShardVisitor& fn) const {

@@ -3,18 +3,23 @@
 // database bit-identical to the in-memory build, with identical
 // EngineStats, for every rank count and threads-per-rank; peak decoded
 // residency respects the budget; and a crashed out-of-core build resumes
-// from its checkpoint.
+// from its checkpoint.  Lower-level reads are block-ordered: the batch
+// read matches point reads on both stores and faults once per same-block
+// run, and a build below its natural working set faults each block only
+// a few times.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "retra/db/db_io.hpp"
 #include "retra/game/awari_level.hpp"
+#include "retra/obs/metrics.hpp"
 #include "retra/para/checkpoint.hpp"
 #include "retra/para/parallel_solver.hpp"
 #include "retra/ra/builder.hpp"
@@ -146,23 +151,33 @@ INSTANTIATE_TEST_SUITE_P(
         GridPoint{4, 2, 1024}));
 
 TEST_F(OutOfCoreTest, TightBudgetActuallyFaultsAndEvicts) {
-  ParallelConfig config;
-  config.ranks = 2;
-  // 128 bytes is smaller than one decoded 200-position block, so the
-  // cache can only ever hold the single most recent (oversized) block and
-  // every cross-block access evicts.
-  config.store = out_of_core(scratch("s"), 128);
-  const ParallelResult result =
-      build_parallel(game::AwariFamily{}, 6, config);
-  std::uint64_t faults = 0;
-  std::uint64_t evictions = 0;
-  for (const LevelRunInfo& info : result.levels) {
-    faults += info.store_total.faults;
-    evictions += info.store_total.evictions;
+  ParallelConfig reference_config;
+  reference_config.ranks = 2;
+  const ParallelResult reference =
+      build_parallel(game::AwariFamily{}, 6, reference_config);
+  for (const int threads : {1, 2}) {
+    ParallelConfig config = reference_config;
+    config.threads_per_rank = threads;
+    config.oversubscribe = threads > 1;
+    // 128 bytes is smaller than one decoded 200-position block, so the
+    // cache can only ever hold the single most recent (oversized) block
+    // and every cross-block access evicts.
+    config.store = out_of_core(scratch("t" + std::to_string(threads)), 128);
+    const ParallelResult result =
+        build_parallel(game::AwariFamily{}, 6, config);
+    EXPECT_EQ(result.database->gather(), reference.database->gather())
+        << "T=" << threads;
+    std::uint64_t faults = 0;
+    std::uint64_t evictions = 0;
+    for (std::size_t l = 0; l < result.levels.size(); ++l) {
+      expect_stats_eq(result.levels[l].total, reference.levels[l].total);
+      faults += result.levels[l].store_total.faults;
+      evictions += result.levels[l].store_total.evictions;
+    }
+    EXPECT_GT(faults, 0u);
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(result.levels.back().store_total.spill_bytes, 0u);
   }
-  EXPECT_GT(faults, 0u);
-  EXPECT_GT(evictions, 0u);
-  EXPECT_GT(result.levels.back().store_total.spill_bytes, 0u);
 }
 
 TEST_F(OutOfCoreTest, ReplicatedModeSpillsFullCopies) {
@@ -262,6 +277,144 @@ TEST_F(OutOfCoreTest, ThreadDriverAndAsyncDriverMatchUnderBudget) {
     EXPECT_EQ(constrained.database->gather(), reference.database->gather())
         << (async ? "async" : "bsp");
   }
+}
+
+// ----------------------------------------------------------------------
+// Block-ordered lower-level reads.
+
+/// A shard whose values vary inside every block.
+std::vector<db::Value> patterned_shard(std::uint64_t size) {
+  std::vector<db::Value> shard(size);
+  for (std::uint64_t i = 0; i < size; ++i) {
+    shard[i] = static_cast<db::Value>(static_cast<int>(i % 13) - 6);
+  }
+  return shard;
+}
+
+TEST_F(OutOfCoreTest, BatchReadMatchesPointReadsOnBothStores) {
+  constexpr std::uint64_t kSize = 1000;  // 8 blocks of 128, the last short
+  const std::vector<db::Value> shard = patterned_shard(kSize);
+  StoreConfig file_config = out_of_core(scratch("s"), 1u << 20);
+  file_config.block_positions = 128;
+  std::vector<std::unique_ptr<LevelStore>> stores;
+  stores.push_back(make_level_store(StoreConfig{}, 0));
+  stores.push_back(make_level_store(file_config, 0));
+
+  // Ascending sets crossing block boundaries: single-position runs at
+  // both edges of a block, repeated locals, long runs, the short tail.
+  std::vector<std::vector<std::uint64_t>> sets = {
+      {0, 127, 128, 129, 255, 256, 999},
+      {5, 5, 6, 300, 300, 301, 640, 641, 900},
+      {},
+  };
+  for (std::uint64_t local = 1; local < kSize; local += 3) {
+    sets.back().push_back(local);
+  }
+  for (const auto& store : stores) {
+    store->push_shard(shard);
+    for (const std::vector<std::uint64_t>& locals : sets) {
+      std::vector<db::Value> out(locals.size());
+      store->values(0, locals, out);
+      for (std::size_t i = 0; i < locals.size(); ++i) {
+        db::Value single;
+        store->values(0, {&locals[i], 1}, {&single, 1});
+        EXPECT_EQ(out[i], shard[locals[i]]) << "local " << locals[i];
+        EXPECT_EQ(out[i], single) << "local " << locals[i];
+      }
+    }
+  }
+}
+
+TEST_F(OutOfCoreTest, BatchReadFaultsOncePerSameBlockRun) {
+  // A budget below one block: the cache holds only the block it served
+  // last, so every run of a different block faults.
+  StoreConfig config = out_of_core(scratch("s"), 1);
+  config.block_positions = 128;
+  FileLevelStore store(config, 0);
+  store.push_shard(patterned_shard(1000));
+
+  // Runs in blocks 0, 1, 3 and 7.
+  const std::vector<std::uint64_t> locals = {3,   4,   100, 130, 131,
+                                             200, 400, 401, 402, 999};
+  std::vector<db::Value> out(locals.size());
+  store.values(0, locals, out);
+  EXPECT_EQ(store.stats().faults, 4u);
+  store.values(0, locals, out);  // block 7 is the one resident block
+  EXPECT_EQ(store.stats().faults, 8u);
+  const std::vector<std::uint64_t> tail = {900, 998, 999};
+  std::vector<db::Value> tail_out(tail.size());
+  store.values(0, tail, tail_out);
+  EXPECT_EQ(store.stats().faults, 8u);
+  EXPECT_EQ(tail_out[2], out.back());
+}
+
+TEST_F(OutOfCoreTest, BlockOrderedLookupsFaultEachBlockAFewTimes) {
+  // Level 10 on P=2 under the sequential BSP driver, with 128-position
+  // blocks and a 4 KB budget: far below the lower-level blocks each level
+  // touches, so reading capture exits in scan order would fault on
+  // nearly every lookup.
+  constexpr int kLevel = 10;
+  constexpr std::uint32_t kBlock = 128;
+  ParallelConfig reference_config;
+  reference_config.ranks = 2;
+  const ParallelResult reference =
+      build_parallel(game::AwariFamily{}, kLevel, reference_config);
+
+  ParallelConfig config = reference_config;
+  config.store = out_of_core(scratch("s"), 4096);
+  config.store.block_positions = kBlock;
+  const ParallelResult constrained =
+      build_parallel(game::AwariFamily{}, kLevel, config);
+
+  EXPECT_EQ(constrained.database->gather(), reference.database->gather());
+  ASSERT_EQ(constrained.levels.size(), reference.levels.size());
+  std::uint64_t faults = 0;
+  std::uint64_t blocks = 0;  // lower-level blocks each level could touch
+  for (std::size_t l = 0; l < reference.levels.size(); ++l) {
+    const LevelRunInfo& info = constrained.levels[l];
+    EXPECT_EQ(info.rounds, reference.levels[l].rounds);
+    expect_stats_eq(info.total, reference.levels[l].total);
+    EXPECT_EQ(info.work_total.counts, reference.levels[l].work_total.counts);
+    for (std::size_t r = 0; r < info.per_rank.size(); ++r) {
+      expect_stats_eq(info.per_rank[r], reference.levels[l].per_rank[r]);
+    }
+    faults += info.store_total.faults;
+    for (int rank = 0; rank < config.ranks; ++rank) {
+      const LevelStore& store = constrained.database->store(rank);
+      for (int lower = 0; lower < info.level; ++lower) {
+        blocks += (store.shard_size(lower) + kBlock - 1) / kBlock;
+      }
+    }
+  }
+  EXPECT_GT(faults, 0u);
+  // Each level reads every block it needs about once (2751 faults against
+  // 3964 blocks here); reading exits in scan order faulted 96k times.
+  EXPECT_LE(faults, 2 * blocks) << "blocks " << blocks;
+}
+
+TEST_F(OutOfCoreTest, LocalReadCounterCountsEveryLookupOnce) {
+#if RETRA_METRICS_ENABLED
+  for (const bool file_backed : {false, true}) {
+    ParallelConfig config;
+    config.ranks = 3;
+    config.threads_per_rank = 2;
+    config.oversubscribe = true;
+    if (file_backed) config.store = out_of_core(scratch("s"), 2048);
+    const obs::Snapshot before = obs::snapshot();
+    const ParallelResult result =
+        build_parallel(game::AwariFamily{}, 6, config);
+    const obs::Snapshot delta = obs::snapshot() - before;
+    std::uint64_t reads = 0;
+    for (const LevelRunInfo& info : result.levels) {
+      reads += info.total.lookups_local + info.total.replies_sent;
+    }
+    EXPECT_GT(reads, 0u);
+    EXPECT_EQ(delta[obs::Id::kDistDbLocalReads].value, reads)
+        << (file_backed ? "file" : "memory");
+  }
+#else
+  GTEST_SKIP() << "metrics compiled out";
+#endif
 }
 
 }  // namespace
