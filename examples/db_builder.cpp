@@ -88,11 +88,13 @@ int run(const Family& family, const support::Cli& cli) {
         para::build_parallel(family, level, config);
     std::printf(
         "distributed build to level %d on %d ranks (%s partition, %s "
-        "driver): %.2fs, %llu combined messages, %s payload\n",
+        "driver): %.2fs, %llu combined messages, %s payload, %llu %s\n",
         level, config.ranks, scheme.c_str(),
         config.async ? "async" : "BSP", timer.seconds(),
         static_cast<unsigned long long>(result.total_messages()),
-        support::human_bytes(result.total_payload_bytes()).c_str());
+        support::human_bytes(result.total_payload_bytes()).c_str(),
+        static_cast<unsigned long long>(result.total_rounds()),
+        config.async ? "supersteps" : "rounds");
     if (config.store.out_of_core()) {
       para::StoreStats store;
       for (int r = 0; r < config.ranks; ++r) {

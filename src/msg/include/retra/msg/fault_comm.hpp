@@ -22,7 +22,6 @@
 
 #include "retra/msg/comm.hpp"
 #include "retra/msg/reliable_comm.hpp"
-#include "retra/msg/thread_comm.hpp"
 #include "retra/support/numeric.hpp"
 #include "retra/support/rng.hpp"
 
@@ -129,14 +128,22 @@ class FaultyComm : public Comm {
   FaultStats fstats_;
 };
 
-/// Convenience bundle: every rank of a ThreadWorld wrapped in
-/// FaultyComm + ReliableComm, which is the stack build_parallel and the
+/// Convenience bundle: every rank of a RoundWorld or ThreadWorld wrapped
+/// in FaultyComm + ReliableComm, which is the stack build_parallel and the
 /// chaos tests run engines on.  endpoint(r) is the outermost (reliable)
 /// endpoint; all WorkMeter charges land there.
 class FaultWorld {
  public:
-  FaultWorld(ThreadWorld& world, const FaultPlan& plan,
-             const ReliableConfig& reliable = {});
+  template <typename World>
+  FaultWorld(World& world, const FaultPlan& plan,
+             const ReliableConfig& reliable = {}) {
+    for (int rank = 0; rank < world.size(); ++rank) {
+      faulty_.push_back(
+          std::make_unique<FaultyComm>(world.endpoint(rank), plan));
+      reliable_.push_back(
+          std::make_unique<ReliableComm>(*faulty_.back(), reliable));
+    }
+  }
 
   int size() const { return static_cast<int>(reliable_.size()); }
   Comm& endpoint(int rank) { return *reliable_[support::to_size(rank)]; }

@@ -13,12 +13,9 @@ class Mailbox {
  public:
   void push(Message message) RETRA_EXCLUDES(mutex_);
   bool try_pop(Message& out) RETRA_EXCLUDES(mutex_);
-  /// Number of queued messages (racy snapshot; used by tests and idle
-  /// detection heuristics only).
-  std::size_t approximate_size() const RETRA_EXCLUDES(mutex_);
 
  private:
-  mutable support::Mutex mutex_;
+  support::Mutex mutex_;
   std::deque<Message> queue_ RETRA_GUARDED_BY(mutex_);
 };
 

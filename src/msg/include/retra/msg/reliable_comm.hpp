@@ -14,9 +14,11 @@
 //     sequence number, buffers out-of-order frames, and drops frames
 //     whose checksum does not verify (a retransmission heals them);
 //   * the sender keeps unacknowledged frames and retransmits on a
-//     tick-based timer with bounded exponential backoff.  Ticks advance
-//     on every send/try_recv call, which every engine performs each
-//     superstep, so retries need no extra thread.
+//     tick-based timer with bounded exponential backoff.  It ticks once
+//     per drained inbox (the try_recv that finds nothing), which every
+//     engine reaches once per superstep, so retries need no extra thread
+//     and a fault-free run, whose acks return two rounds after their
+//     frames, never retransmits however many frames a superstep sends.
 //
 // A record handed to send() is only counted "received" by the engine
 // when it is delivered here, so in-flight (lost, held, unacked) records
@@ -130,7 +132,8 @@ class ReliableComm : public Comm {
     std::map<std::uint64_t, Message> held;     // out-of-order frames
   };
 
-  /// Advances the tick and retransmits due unacknowledged frames.
+  /// Advances the tick and retransmits due unacknowledged frames; called
+  /// once per drained inbox.
   void pump();
   void send_ack(int peer);
   void handle_ack(const Message& raw);

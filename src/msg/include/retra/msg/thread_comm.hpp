@@ -1,8 +1,10 @@
-// The real message-passing world: one mailbox per rank, shared by
-// reference between endpoint objects.  Rank code must only communicate
-// through its endpoint — engines hold no shared state, so running each
-// rank on its own OS thread is a faithful stand-in for the paper's
-// distributed processes.
+// The deliver-on-send message world: one mailbox per rank, so a message
+// can be received as soon as it is sent.  It serves code without rounds
+// (the asynchronous driver, ablation A2); BSP builds use the
+// round-delivered retra/msg/round_world.hpp.  Rank code must only
+// communicate through its endpoint — engines hold no shared state, so
+// running each rank on its own OS thread is a faithful stand-in for the
+// paper's distributed processes.
 #pragma once
 
 #include <memory>
@@ -16,15 +18,17 @@ namespace retra::msg {
 class ThreadWorld {
  public:
   explicit ThreadWorld(int ranks);
-  ~ThreadWorld();  // out of line: Endpoint is an implementation detail
 
   int size() const { return static_cast<int>(endpoints_.size()); }
   Comm& endpoint(int rank);
 
  private:
-  class Endpoint;
+  friend class WorldEndpoint<ThreadWorld>;
+  void post(Message message, int dest);
+  bool take(int rank, Message& out);
+
   std::vector<Mailbox> mailboxes_;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
+  std::vector<std::unique_ptr<Comm>> endpoints_;
 };
 
 }  // namespace retra::msg

@@ -91,18 +91,6 @@ bool FaultyComm::try_recv(Message& out) {
   return true;
 }
 
-FaultWorld::FaultWorld(ThreadWorld& world, const FaultPlan& plan,
-                       const ReliableConfig& reliable) {
-  faulty_.reserve(support::to_size(world.size()));
-  reliable_.reserve(support::to_size(world.size()));
-  for (int rank = 0; rank < world.size(); ++rank) {
-    faulty_.push_back(
-        std::make_unique<FaultyComm>(world.endpoint(rank), plan));
-    reliable_.push_back(
-        std::make_unique<ReliableComm>(*faulty_.back(), reliable));
-  }
-}
-
 void FaultWorld::set_level(int level) {
   for (auto& faulty : faulty_) faulty->set_level(level);
 }

@@ -15,9 +15,4 @@ bool Mailbox::try_pop(Message& out) {
   return true;
 }
 
-std::size_t Mailbox::approximate_size() const {
-  const support::MutexLock lock(mutex_);
-  return queue_.size();
-}
-
 }  // namespace retra::msg

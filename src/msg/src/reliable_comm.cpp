@@ -56,11 +56,9 @@ void ReliableComm::send(int dest, std::uint8_t tag,
   ++rstats_.data_sent;
   RETRA_OBS_INC(obs::Id::kReliableDataSent);
   inner_.send(dest, kTagReliableData, std::move(frame));
-  pump();
 }
 
 bool ReliableComm::try_recv(Message& out) {
-  pump();
   Message raw;
   while (inner_.try_recv(raw)) {
     if (raw.tag == kTagReliableAck) {
@@ -71,7 +69,11 @@ bool ReliableComm::try_recv(Message& out) {
       RETRA_CHECK_MSG(false, "non-protocol frame on a reliable endpoint");
     }
   }
-  if (ready_.empty()) return false;
+  if (ready_.empty()) {
+    // The inbox is drained: once per superstep, after this step's acks.
+    pump();
+    return false;
+  }
   out = std::move(ready_.front());
   ready_.pop_front();
   ++stats_.messages_received;

@@ -5,48 +5,27 @@
 
 namespace retra::msg {
 
-class ThreadWorld::Endpoint : public Comm {
- public:
-  Endpoint(int rank, ThreadWorld& world) : rank_(rank), world_(world) {}
-
-  int rank() const override { return rank_; }
-  int size() const override { return world_.size(); }
-
-  void send(int dest, std::uint8_t tag,
-            std::vector<std::byte> payload) override {
-    RETRA_CHECK(dest >= 0 && dest < size());
-    ++stats_.messages_sent;
-    stats_.bytes_sent += payload.size();
-    world_.mailboxes_[support::to_size(dest)].push(
-        Message{rank_, tag, std::move(payload)});
-  }
-
-  bool try_recv(Message& out) override {
-    if (!world_.mailboxes_[support::to_size(rank_)].try_pop(out)) return false;
-    ++stats_.messages_received;
-    stats_.bytes_received += out.payload.size();
-    return true;
-  }
-
- private:
-  int rank_;
-  ThreadWorld& world_;
-};
-
-ThreadWorld::~ThreadWorld() = default;
-
 ThreadWorld::ThreadWorld(int ranks)
     : mailboxes_(support::to_size(ranks)) {
   RETRA_CHECK(ranks >= 1);
   endpoints_.reserve(support::to_size(ranks));
   for (int r = 0; r < ranks; ++r) {
-    endpoints_.push_back(std::make_unique<Endpoint>(r, *this));
+    endpoints_.push_back(
+        std::make_unique<WorldEndpoint<ThreadWorld>>(r, *this));
   }
 }
 
 Comm& ThreadWorld::endpoint(int rank) {
   RETRA_CHECK(rank >= 0 && rank < size());
   return *endpoints_[support::to_size(rank)];
+}
+
+void ThreadWorld::post(Message message, int dest) {
+  mailboxes_[support::to_size(dest)].push(std::move(message));
+}
+
+bool ThreadWorld::take(int rank, Message& out) {
+  return mailboxes_[support::to_size(rank)].try_pop(out);
 }
 
 }  // namespace retra::msg

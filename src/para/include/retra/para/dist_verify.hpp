@@ -24,6 +24,7 @@
 #include "retra/game/level_game.hpp"
 #include "retra/msg/combiner.hpp"
 #include "retra/msg/comm.hpp"
+#include "retra/msg/round_world.hpp"
 #include "retra/para/dist_db.hpp"
 #include "retra/para/drivers.hpp"
 #include "retra/para/records.hpp"
@@ -229,12 +230,12 @@ class VerifyEngine {
   VerifySummary summary_;
 };
 
-/// Verifies one stored level of `ddb` across `world`'s ranks; `world` may
-/// be a msg::ThreadWorld or sim::SimWorld-backed endpoints.
-template <typename Game, typename World>
+/// Verifies one stored level of `ddb` across `world`'s ranks, in BSP
+/// rounds on the calling thread or (`use_threads`) one thread per rank.
+template <typename Game>
 VerifySummary verify_level_distributed(const Game& game, int level,
                                        const DistributedDatabase& ddb,
-                                       World& world,
+                                       msg::RoundWorld& world,
                                        std::size_t combine_bytes = 4096,
                                        bool use_threads = false) {
   std::vector<std::unique_ptr<VerifyEngine<Game>>> engines;
@@ -243,11 +244,7 @@ VerifySummary verify_level_distributed(const Game& game, int level,
     engines.push_back(std::make_unique<VerifyEngine<Game>>(
         game, level, ddb, world.endpoint(rank), combine_bytes));
   }
-  if (use_threads) {
-    run_bsp_threads(engines);
-  } else {
-    run_bsp_sequential(engines);
-  }
+  run_bsp(engines, use_threads, RoundDelivery{world});
   VerifySummary summary;
   for (const auto& engine : engines) summary.merge(engine->summary());
   return summary;

@@ -1,15 +1,11 @@
 // Bulk-synchronous drivers.
 //
 // Engines expose three calls — superstep(), advance(), done() — and never
-// block, so the same engine code runs under
-//   * run_bsp_sequential: one thread executes all ranks round-robin;
-//     deterministic, and the loop the cluster simulator prices through
-//     its round hooks (see retra/sim/sim_driver.hpp);
-//   * run_bsp_threads: one OS thread per rank with a std::barrier per
-//     round — the "real" distributed execution.
-//
-// Both end a phase by the one rule in PhaseQuiescence; the driver then
-// calls advance() on every engine, or stops when they all report done().
+// block.  run_bsp is the one round loop of every BSP build, host or
+// simulated (the cluster model prices its rounds through round hooks; see
+// retra/sim/sim_driver.hpp).  run_async_threads (ablation A2) has no
+// rounds: ranks step freely over a msg::ThreadWorld and a coordinator
+// detects quiescence.
 #pragma once
 
 #include <atomic>
@@ -19,9 +15,11 @@
 #include <exception>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "retra/msg/fault_comm.hpp"
+#include "retra/msg/round_world.hpp"
 #include "retra/para/rank_engine.hpp"
 #include "retra/support/access_check.hpp"
 #include "retra/support/check.hpp"
@@ -75,12 +73,6 @@ inline int effective_phase_threads(int requested, int inherited, int ranks,
                                     allow_oversubscribe);
 }
 
-// Crash semantics (fault injection): a scheduled rank crash surfaces as a
-// msg::RankCrash exception out of superstep().  The sequential driver lets
-// it propagate directly; the threaded drivers capture it, stop every other
-// rank at the next synchronisation point, join, and rethrow — so the
-// caller always observes a clean single exception with all threads gone.
-
 /// The phase-quiescence rule, fed one round's global report at a time: a
 /// round in which every rank is ready, nobody did local work, nobody
 /// appended a record, and the cumulative record counts balance (nothing
@@ -99,64 +91,60 @@ class PhaseQuiescence {
   std::uint64_t cum_received_ = 0;
 };
 
-/// Round hooks of run_bsp_sequential: after_step(rank) runs right after
-/// that rank's superstep (still as its actor), close_round() once every
-/// rank has stepped, before the quiescence decision.  The cluster
-/// simulator prices its rounds through them; the default does nothing.
+/// Round hooks of run_bsp: after_step(rank) runs right after that rank's
+/// superstep, on its thread and as its actor; close_round() once per
+/// round while every rank is parked, before the quiescence decision.  The
+/// default suits endpoints that deliver on send (msg::ThreadWorld).
 struct NoRoundHooks {
   void after_step(std::size_t /*rank*/) {}
   void close_round() {}
 };
 
-template <typename Engine, typename Hooks = NoRoundHooks>
-std::uint64_t run_bsp_sequential(std::vector<std::unique_ptr<Engine>>& engines,
-                                 Hooks&& hooks = {}) {
-  const support::ScopedPhase phase(support::BspPhase::kCompute);
-  PhaseQuiescence quiescence;
-  std::uint64_t rounds = 0;
-  while (true) {
-    ++rounds;
-    RETRA_CHECK_MSG(rounds < kRoundLimit, "BSP round limit exceeded");
-    StepReport global = StepReport::reduction_identity();
-    for (std::size_t rank = 0; rank < engines.size(); ++rank) {
-      const support::ScopedActor actor(static_cast<int>(rank));
-      global += engines[rank]->superstep();
-      hooks.after_step(rank);
-    }
-    hooks.close_round();
-    if (!quiescence.round_ends_phase(global)) continue;
-    if (engines.front()->done()) break;
-    for (std::size_t rank = 0; rank < engines.size(); ++rank) {
-      const support::ScopedActor actor(static_cast<int>(rank));
-      engines[rank]->advance();
-    }
-  }
-  return rounds;
-}
+/// The round hooks of a host build over a msg::RoundWorld: each round
+/// closes by delivering its messages to the next.
+struct RoundDelivery {
+  msg::RoundWorld& world;
+  void after_step(std::size_t /*rank*/) {}
+  void close_round() { world.deliver_round(); }
+};
 
-template <typename Engine>
-std::uint64_t run_bsp_threads(std::vector<std::unique_ptr<Engine>>& engines) {
+/// The BSP round loop.  Each round every rank advances if the last round
+/// ended a phase, then steps; the barrier's completion step closes the
+/// round and lets PhaseQuiescence decide whether it ended a phase (or,
+/// once every engine is done(), the run).  With `use_threads` each rank
+/// is a lane on its own OS thread, otherwise the calling thread is one
+/// lane stepping the ranks in turn; over a msg::RoundWorld both are the
+/// same run, as a round sees only what earlier rounds delivered.
+///
+/// A scheduled rank crash (msg::RankCrash out of superstep()) drops its
+/// lane from the barrier; the round closes with a stop decision and
+/// without close_round(), and the exception is rethrown once every lane
+/// has returned.
+template <typename Engine, typename Hooks = NoRoundHooks>
+std::uint64_t run_bsp(std::vector<std::unique_ptr<Engine>>& engines,
+                      bool use_threads, Hooks&& hooks = {}) {
   const support::ScopedPhase phase(support::BspPhase::kCompute);
   const std::size_t ranks = engines.size();
+  const std::size_t lanes = use_threads ? ranks : 1;
   std::vector<StepReport> reports(ranks);
   PhaseQuiescence quiescence;
   std::uint64_t rounds = 0;
   enum class Decision { kContinue, kAdvance, kStop };
   Decision decision = Decision::kContinue;
-  std::atomic<bool> crashed{false};
-  std::exception_ptr crash;
+  std::exception_ptr crash;  // written before its lane leaves the barrier
   support::Mutex crash_mutex;
 
-  auto on_round_complete = [&]() noexcept {
-    // The completion step runs on one of the worker threads but acts as
-    // the driver: engine state is read-only here.
+  auto close_round = [&]() noexcept {
+    // Acts as the driver: engine state is read-only here.
     const support::ScopedActor actor(-1);
     const support::ScopedPhase exchange(support::BspPhase::kExchange);
     ++rounds;
-    if (crashed.load(std::memory_order_acquire)) {
+    if (crash) {
       decision = Decision::kStop;
       return;
     }
+    RETRA_CHECK_MSG(rounds < kRoundLimit, "BSP round limit exceeded");
+    hooks.close_round();
     StepReport global = StepReport::reduction_identity();
     for (const StepReport& report : reports) global += report;
     if (!quiescence.round_ends_phase(global)) {
@@ -167,42 +155,50 @@ std::uint64_t run_bsp_threads(std::vector<std::unique_ptr<Engine>>& engines) {
       decision = Decision::kAdvance;
     }
   };
+  std::barrier sync(static_cast<std::ptrdiff_t>(lanes), close_round);
 
-  std::barrier sync(static_cast<std::ptrdiff_t>(ranks), on_round_complete);
-
-  auto body = [&](std::size_t rank) {
-    const support::ScopedActor actor(static_cast<int>(rank));
-    while (true) {
-      RETRA_CHECK_MSG(rounds < kRoundLimit, "BSP round limit exceeded");
-      try {
-        reports[rank] = engines[rank]->superstep();
-      } catch (const msg::RankCrash&) {
-        {
-          const support::MutexLock lock(crash_mutex);
-          if (!crash) crash = std::current_exception();
+  // A lane steps ranks first, first + lanes, ...  Every lane reads the
+  // same decision, which only the next completion step rewrites.
+  auto lane = [&](std::size_t first) {
+    try {
+      while (true) {
+        for (std::size_t rank = first; rank < ranks; rank += lanes) {
+          const support::ScopedActor actor(static_cast<int>(rank));
+          if (decision == Decision::kAdvance) engines[rank]->advance();
+          reports[rank] = engines[rank]->superstep();
+          hooks.after_step(rank);
         }
-        crashed.store(true, std::memory_order_release);
-        // Leave the barrier so the surviving ranks can complete the round
-        // and observe the kStop decision.
-        sync.arrive_and_drop();
-        return;
+        sync.arrive_and_wait();
+        if (decision == Decision::kStop) return;
       }
-      sync.arrive_and_wait();
-      // All ranks read the same decision; it is only rewritten by the next
-      // round's completion step, after every rank has re-arrived.
-      if (decision == Decision::kStop) return;
-      if (decision == Decision::kAdvance) engines[rank]->advance();
+    } catch (const msg::RankCrash&) {
+      {
+        const support::MutexLock lock(crash_mutex);
+        if (!crash) crash = std::current_exception();
+      }
+      sync.arrive_and_drop();
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(ranks);
-  for (std::size_t rank = 0; rank < ranks; ++rank) {
-    threads.emplace_back(body, rank);
+  if (!use_threads) {
+    lane(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(lanes);
+    for (std::size_t first = 0; first < lanes; ++first) {
+      threads.emplace_back(lane, first);
+    }
+    for (std::thread& thread : threads) thread.join();
   }
-  for (std::thread& thread : threads) thread.join();
   if (crash) std::rethrow_exception(crash);
   return rounds;
+}
+
+/// run_bsp's threaded setting by name, hooks optional.
+template <typename Engine, typename Hooks = NoRoundHooks>
+std::uint64_t run_bsp_threads(std::vector<std::unique_ptr<Engine>>& engines,
+                              Hooks&& hooks = {}) {
+  return run_bsp(engines, true, std::forward<Hooks>(hooks));
 }
 
 /// Asynchronous driver (ablation A2): ranks run supersteps continuously
@@ -238,6 +234,27 @@ std::uint64_t run_async_threads(std::vector<std::unique_ptr<Engine>>& engines) {
   std::exception_ptr crash;
   support::Mutex crash_mutex;
 
+  // One superstep of `rank`, published to the coordinator.
+  auto step_once = [&](std::size_t rank, std::uint64_t& local_steps) {
+    const auto step = engines[rank]->superstep();
+    ++local_steps;
+    total_steps.fetch_add(1, std::memory_order_relaxed);
+    if (step.records_sent) {
+      total_sent.fetch_add(step.records_sent, std::memory_order_acq_rel);
+    }
+    if (step.records_received) {
+      total_received.fetch_add(step.records_received,
+                               std::memory_order_acq_rel);
+    }
+    if (step.records_sent || step.records_received || step.work) {
+      state[rank].activity.fetch_add(1, std::memory_order_acq_rel);
+    }
+    state[rank].ready.store(step.ready, std::memory_order_release);
+    state[rank].steps.store(local_steps, std::memory_order_release);
+    RETRA_CHECK_MSG(local_steps < kRoundLimit,
+                    "async superstep limit exceeded");
+  };
+
   auto loop = [&](std::size_t rank) {
     std::uint64_t local_steps = 0;
     while (!stop.load(std::memory_order_acquire)) {
@@ -248,23 +265,7 @@ std::uint64_t run_async_threads(std::vector<std::unique_ptr<Engine>>& engines) {
         state[rank].applied_epoch.store(e, std::memory_order_release);
         continue;
       }
-      const auto step = engines[rank]->superstep();
-      ++local_steps;
-      total_steps.fetch_add(1, std::memory_order_relaxed);
-      if (step.records_sent) {
-        total_sent.fetch_add(step.records_sent, std::memory_order_acq_rel);
-      }
-      if (step.records_received) {
-        total_received.fetch_add(step.records_received,
-                                 std::memory_order_acq_rel);
-      }
-      if (step.records_sent || step.records_received || step.work) {
-        state[rank].activity.fetch_add(1, std::memory_order_acq_rel);
-      }
-      state[rank].ready.store(step.ready, std::memory_order_release);
-      state[rank].steps.store(local_steps, std::memory_order_release);
-      RETRA_CHECK_MSG(local_steps < kRoundLimit,
-                      "async superstep limit exceeded");
+      step_once(rank, local_steps);
       if (rank != 0) {
         std::this_thread::yield();
         continue;
@@ -290,18 +291,7 @@ std::uint64_t run_async_threads(std::vector<std::unique_ptr<Engine>>& engines) {
                !stop.load(std::memory_order_relaxed)) {
           if (r == 0) {
             // The coordinator must keep stepping its own engine.
-            const auto own = engines[0]->superstep();
-            ++local_steps;
-            total_steps.fetch_add(1, std::memory_order_relaxed);
-            if (own.records_sent) total_sent.fetch_add(own.records_sent);
-            if (own.records_received) {
-              total_received.fetch_add(own.records_received);
-            }
-            if (own.records_sent || own.records_received || own.work) {
-              state[0].activity.fetch_add(1);
-            }
-            state[0].ready.store(own.ready);
-            state[0].steps.store(local_steps, std::memory_order_release);
+            step_once(0, local_steps);
           } else {
             std::this_thread::yield();
           }

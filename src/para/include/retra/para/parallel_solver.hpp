@@ -13,6 +13,7 @@
 
 #include "retra/msg/fault_comm.hpp"
 #include "retra/msg/reliable_comm.hpp"
+#include "retra/msg/round_world.hpp"
 #include "retra/msg/thread_comm.hpp"
 #include "retra/obs/metrics.hpp"
 #include "retra/para/checkpoint.hpp"
@@ -34,8 +35,8 @@ struct ParallelConfig {
   std::size_t combine_bytes = 4096;
   /// Replicate solved levels on every rank instead of partitioning them.
   bool replicate_lower = false;
-  /// Execute ranks on real OS threads (otherwise deterministic
-  /// round-robin in the calling thread).
+  /// Step each rank on its own OS thread (otherwise in turn on the
+  /// calling thread); both settings run the same rounds.
   bool use_threads = false;
   /// Worker threads inside each rank for the engines' parallel phases
   /// (Init scan, magnitude seeding, zero-fill).  The produced database and
@@ -166,22 +167,36 @@ struct ParallelResult {
     for (const auto& info : levels) sum += info.total.payload_bytes;
     return sum;
   }
+  /// Total rounds across all levels (supersteps under the async driver).
+  std::uint64_t total_rounds() const {
+    std::uint64_t sum = 0;
+    for (const auto& info : levels) sum += info.rounds;
+    return sum;
+  }
 };
 
 /// The level loop of every build: solves levels bottom-up with engines on
-/// `world`'s endpoints (or on `faults`' reliable stacks over them when
-/// non-null), and per level takes the meter/store/fault snapshots, runs
-/// the engines, replicates or seals the level, records the deltas,
-/// checkpoints, and finalizes the level's LevelRunInfo.  `run(level,
+/// `world`'s endpoints (or on fault-injecting + reliable stacks over them
+/// when config.fault_plan is active), and per level takes the
+/// meter/store/fault snapshots, runs the engines, replicates or seals the
+/// level, records the deltas, checkpoints, and finalizes the level's
+/// LevelRunInfo.  `run(level,
 /// engines)` drives one engine set to completion and returns its rounds:
-/// build_parallel picks a host driver, build_parallel_simulated prices the
-/// sequential driver on the cluster model.  A level's rounds and work
+/// build_parallel picks a host driver, build_parallel_simulated prices
+/// run_bsp's rounds on the cluster model.  A level's rounds and work
 /// cover everything it did, the replication exchange included.
 template <typename Family, typename World, typename Run>
 ParallelResult build_levels(const Family& family, int max_level,
                             const ParallelConfig& config, World& world,
-                            msg::FaultWorld* faults, Run&& run) {
+                            Run&& run) {
   const std::size_t nranks = support::to_size(config.ranks);
+  // One fault stack per build, not per level: acknowledgements and
+  // retransmissions cross level boundaries.
+  std::unique_ptr<msg::FaultWorld> faults;
+  if (config.fault_plan.active()) {
+    faults = std::make_unique<msg::FaultWorld>(world, config.fault_plan,
+                                               config.reliable);
+  }
   RETRA_OBS_SET(obs::Id::kDriverRanks,
                 static_cast<std::uint64_t>(config.ranks));
   ParallelResult result;
@@ -330,28 +345,25 @@ ParallelResult build_levels(const Family& family, int max_level,
   return result;
 }
 
-/// The host build: ranks exchange messages over a ThreadWorld (wrapped in
-/// the fault-injecting + reliable stacks when config.fault_plan is
-/// active) and run under the driver config selects.
+/// The host build.  BSP builds, sequential or threaded, exchange messages
+/// over a RoundWorld and deliver each round at its close; the async
+/// driver has no rounds and runs over a ThreadWorld.
 template <typename Family>
 ParallelResult build_parallel(const Family& family, int max_level,
                               const ParallelConfig& config) {
-  msg::ThreadWorld world(config.ranks);
-  // The fault stacks live for the whole build (not per level) so that
-  // late acknowledgements and retransmissions crossing a level boundary
-  // stay consistent with the sequence-number state.
-  std::unique_ptr<msg::FaultWorld> faults;
-  if (config.fault_plan.active()) {
-    faults = std::make_unique<msg::FaultWorld>(world, config.fault_plan,
-                                               config.reliable);
+  if (config.use_threads && config.async) {
+    msg::ThreadWorld world(config.ranks);
+    return build_levels(family, max_level, config, world,
+                        [](int /*level*/, auto& engines) -> std::uint64_t {
+                          return run_async_threads(engines);
+                        });
   }
-  return build_levels(
-      family, max_level, config, world, faults.get(),
-      [&](int /*level*/, auto& engines) -> std::uint64_t {
-        if (!config.use_threads) return run_bsp_sequential(engines);
-        return config.async ? run_async_threads(engines)
-                            : run_bsp_threads(engines);
-      });
+  msg::RoundWorld world(config.ranks);
+  return build_levels(family, max_level, config, world,
+                      [&](int /*level*/, auto& engines) -> std::uint64_t {
+                        return run_bsp(engines, config.use_threads,
+                                       RoundDelivery{world});
+                      });
 }
 
 }  // namespace retra::para

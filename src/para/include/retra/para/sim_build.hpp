@@ -1,26 +1,26 @@
 // Simulated parallel database construction.
 //
-// Same orchestration as build_parallel() — literally: both run
-// build_levels(), and only the world and the driver differ.  Here the
-// ranks exchange messages over a SimWorld and every engine set runs under
-// the sequential BSP driver with sim::ClusterClock as its round hooks, so
-// the result carries virtual 1995-cluster timings alongside the usual
-// statistics.  The values produced are still real — tests compare them
-// against the sequential solver — only the clock is modelled: `timings`
-// holds the virtual seconds, while LevelRunInfo::build_seconds stays host
-// wall time as in every build.
+// The same run as build_parallel()'s BSP builds — literally: both run
+// build_levels() over a msg::RoundWorld under run_bsp, and only the round
+// hooks differ.  Here sim::ClusterClock closes each round, pricing its
+// supersteps and messages before delivering them, so every message, round
+// and counter equals the host build's, and use_threads (ranks stepping
+// concurrently on the host) prices the same virtual run.  The values are
+// real — tests compare them against the sequential solver — only the
+// clock is modelled: `timings` holds the virtual seconds, while
+// LevelRunInfo::build_seconds stays host wall time as in every build.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "retra/msg/round_world.hpp"
 #include "retra/para/drivers.hpp"
 #include "retra/para/parallel_solver.hpp"
 #include "retra/sim/cluster_model.hpp"
 #include "retra/sim/projection.hpp"
 #include "retra/sim/sim_driver.hpp"
-#include "retra/sim/sim_world.hpp"
 #include "retra/support/check.hpp"
 
 namespace retra::para {
@@ -72,18 +72,15 @@ SimBuildResult build_parallel_simulated(const Family& family, int max_level,
   RETRA_CHECK_MSG(!config.async, "the simulated cluster is bulk-synchronous");
   RETRA_CHECK_MSG(config.checkpoint_dir.empty(),
                   "the simulated cluster does not checkpoint");
-  // The simulated cluster executes its ranks one at a time on the host,
-  // so only that single rank's pool is ever active.
-  ParallelConfig sequential = config;
-  sequential.use_threads = false;
-  sim::SimWorld world(config.ranks);
+  msg::RoundWorld world(config.ranks);
   SimBuildResult result;
   result.timings.resize(support::to_size(max_level + 1));
   static_cast<ParallelResult&>(result) = build_levels(
-      family, max_level, sequential, world, nullptr,
+      family, max_level, config, world,
       [&](int level, auto& engines) -> std::uint64_t {
         sim::ClusterClock clock(world, model, trace);
-        const std::uint64_t rounds = run_bsp_sequential(engines, clock);
+        const std::uint64_t rounds =
+            run_bsp(engines, config.use_threads, clock);
         result.timings[support::to_size(level)].accumulate(clock.result());
         return rounds;
       });

@@ -1,14 +1,14 @@
 // Discrete-event bulk-synchronous pricing.
 //
-// The simulated build runs the identical engine supersteps in the one
-// sequential BSP loop (para::run_bsp_sequential); ClusterClock is the pair
-// of round hooks that prices that loop against virtual time.  Each round,
+// The simulated build runs the same rounds as a host build (para::run_bsp
+// over a msg::RoundWorld); ClusterClock is the pair of round hooks that
+// prices them against virtual time.  Each round,
 //   1. every rank's superstep executes; its WorkMeter delta is priced by
 //      the machine model (plus the receive overhead of the messages it
 //      just drained);
 //   2. the round's messages are played over the shared-medium Ethernet
-//      model in send order — the medium serialises, so contention emerges
-//      by construction;
+//      model in (source rank, send order) as they are delivered — the
+//      medium serialises, so contention emerges by construction;
 //   3. the closing barrier/allreduce is priced and the round ends at the
 //      latest of all ranks and deliveries.
 // The result carries the virtual wall-clock plus a per-rank
@@ -21,9 +21,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "retra/msg/round_world.hpp"
 #include "retra/msg/work_meter.hpp"
 #include "retra/sim/cluster_model.hpp"
-#include "retra/sim/sim_world.hpp"
 #include "retra/sim/trace.hpp"
 
 namespace retra::sim {
@@ -65,27 +65,27 @@ struct SimRunResult {
   }
 };
 
-/// Round hooks that price one BSP run of para::run_bsp_sequential on the
-/// cluster model (the driver calls after_step() after each rank's
-/// superstep and close_round() once all ranks have stepped).  One clock
-/// prices one engine set from virtual time 0.
+/// Round hooks that price one BSP run of para::run_bsp on the cluster
+/// model (the driver calls after_step() after each rank's superstep and
+/// close_round() once all ranks have stepped; after_step touches only
+/// its rank's state).  One clock prices one engine set from time 0.
 class ClusterClock {
  public:
-  ClusterClock(SimWorld& world, const ClusterModel& model,
+  ClusterClock(msg::RoundWorld& world, const ClusterModel& model,
                TraceSink* trace = nullptr);
 
   /// Step 1: prices the rank's WorkMeter delta plus the receive overhead
   /// of the messages its superstep just drained.
   void after_step(std::size_t rank);
-  /// Steps 2 and 3: plays the round's outbox over the Ethernet model,
-  /// charges the barrier, and writes the trace row.
+  /// Steps 2 and 3: plays the round's messages over the Ethernet model
+  /// as it delivers them, charges the barrier, and writes the trace row.
   void close_round();
 
   /// The run priced so far; time_s is the end of the last closed round.
   const SimRunResult& result() const { return result_; }
 
  private:
-  SimWorld& world_;
+  msg::RoundWorld& world_;
   const ClusterModel& model_;
   TraceSink* trace_;
   SimRunResult result_;

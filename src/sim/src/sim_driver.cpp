@@ -6,7 +6,7 @@
 
 namespace retra::sim {
 
-ClusterClock::ClusterClock(SimWorld& world, const ClusterModel& model,
+ClusterClock::ClusterClock(msg::RoundWorld& world, const ClusterModel& model,
                            TraceSink* trace)
     : world_(world),
       model_(model),
@@ -41,13 +41,14 @@ void ClusterClock::close_round() {
   const std::uint64_t payload_before = result_.payload_bytes;
   const double network_before = result_.network_busy_s;
 
-  // Network: bridged shared segments, messages in send order.  The sender
+  // Network: bridged shared segments, messages in (source rank, send
+  // order), as the round delivers them.  The sender
   // pays its software overhead before the frame can contend for its
   // segment; the receiver's overhead is charged to its next superstep.
   std::vector<double> medium_free(support::to_size(model_.net.segments), now);
   double last_delivery = now;
-  for (auto& out : world_.take_outbox()) {
-    const int src = out.source;
+  world_.deliver_round([&](const msg::RoundWorld::Envelope& out) {
+    const int src = out.message.source;
     const std::size_t si = support::to_size(src);
     rank_clock_[si] += model_.machine.send_overhead_s;
     result_.per_rank[si].send_s += model_.machine.send_overhead_s;
@@ -63,8 +64,7 @@ void ClusterClock::close_round() {
         model_.machine.recv_overhead_s;
     ++result_.messages;
     result_.payload_bytes += out.message.payload.size();
-    world_.deliver(out.dest, std::move(out.message));
-  }
+  });
 
   // The barrier closes the round.
   const double barrier = model_.barrier_seconds(world_.size());

@@ -163,28 +163,40 @@ TEST(Chaos, FaultFreeRunReportsAllZeroCounters) {
 // A plan whose only scheduled event never fires (crash far beyond the
 // last level) still routes everything through the reliability stack: the
 // protocol must be pure overhead — no retries, no duplicates, and the
-// same database.
+// same database — under either driver, at a level where one rank sends
+// far more frames per superstep than the retry timer's first interval.
 TEST(Chaos, IdleReliabilityStackIsExactAndRetryFree) {
   msg::FaultPlan plan;
   plan.crash_rank = 0;
   plan.crash_level = 1000;
-  ParallelConfig config;
-  config.ranks = 4;
-  config.fault_plan = plan;
-  const auto result = build_parallel(game::AwariFamily{}, 4, config);
-  EXPECT_EQ(result.database->gather(),
-            ra::build_database(game::AwariFamily{}, 4));
-  std::uint64_t data_sent = 0;
-  for (const LevelRunInfo& info : result.levels) {
-    EXPECT_EQ(info.faults.dropped, 0u);
-    EXPECT_EQ(info.faults.corrupted, 0u);
-    EXPECT_EQ(info.reliability.retries, 0u);
-    EXPECT_EQ(info.reliability.duplicates_suppressed, 0u);
-    EXPECT_EQ(info.reliability.corrupt_dropped, 0u);
-    EXPECT_EQ(info.reliability.data_sent, info.reliability.delivered);
-    data_sent += info.reliability.data_sent;
+  const db::Database expected = ra::build_database(game::AwariFamily{}, 8);
+  std::uint64_t frames[2] = {0, 0};
+  for (const bool threads : {false, true}) {
+    SCOPED_TRACE(threads ? "threaded driver" : "sequential driver");
+    ParallelConfig config;
+    config.ranks = 4;
+    config.fault_plan = plan;
+    config.use_threads = threads;
+    const auto result = build_parallel(game::AwariFamily{}, 8, config);
+    EXPECT_EQ(result.database->gather(), expected);
+    std::uint64_t data_sent = 0;
+    for (const LevelRunInfo& info : result.levels) {
+      EXPECT_EQ(info.faults.dropped, 0u) << "level " << info.level;
+      EXPECT_EQ(info.faults.corrupted, 0u) << "level " << info.level;
+      EXPECT_EQ(info.reliability.retries, 0u) << "level " << info.level;
+      EXPECT_EQ(info.reliability.duplicates_suppressed, 0u)
+          << "level " << info.level;
+      EXPECT_EQ(info.reliability.corrupt_dropped, 0u)
+          << "level " << info.level;
+      EXPECT_EQ(info.reliability.data_sent, info.reliability.delivered)
+          << "level " << info.level;
+      data_sent += info.reliability.data_sent;
+      frames[threads ? 1 : 0] += info.faults.forwarded;
+    }
+    EXPECT_GT(data_sent, 0u);
   }
-  EXPECT_GT(data_sent, 0u);
+  // The two drivers run the same rounds, so they send the same frames.
+  EXPECT_EQ(frames[0], frames[1]);
 }
 
 TEST(Chaos, InjectedFaultsShowUpInTheLevelCounters) {
@@ -223,7 +235,7 @@ class CrashDrill : public ::testing::Test {
   template <typename Family>
   void verify_all_levels(const Family& family, int max_level,
                          const DistributedDatabase& ddb) {
-    msg::ThreadWorld world(ddb.ranks());
+    msg::RoundWorld world(ddb.ranks());
     for (int level = 0; level <= max_level; ++level) {
       const VerifySummary summary =
           verify_level_distributed(family.level(level), level, ddb, world);

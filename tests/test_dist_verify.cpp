@@ -2,7 +2,7 @@
 
 #include "retra/game/awari_level.hpp"
 #include "retra/game/kalah_level.hpp"
-#include "retra/msg/thread_comm.hpp"
+#include "retra/msg/round_world.hpp"
 #include "retra/para/dist_verify.hpp"
 #include "retra/para/parallel_solver.hpp"
 
@@ -13,7 +13,7 @@ TEST(DistVerify, CleanDatabasePasses) {
   ParallelConfig config;
   config.ranks = 4;
   const auto result = build_parallel(game::AwariFamily{}, 6, config);
-  msg::ThreadWorld world(config.ranks);
+  msg::RoundWorld world(config.ranks);
   for (int level = 0; level <= 6; ++level) {
     const game::AwariLevel game(level);
     const VerifySummary summary = verify_level_distributed(
@@ -28,7 +28,7 @@ TEST(DistVerify, KalahWithSameMoverExits) {
   ParallelConfig config;
   config.ranks = 3;
   const auto result = build_parallel(game::KalahFamily{}, 6, config);
-  msg::ThreadWorld world(config.ranks);
+  msg::RoundWorld world(config.ranks);
   for (int level = 0; level <= 6; ++level) {
     const game::KalahLevel game(level);
     const VerifySummary summary = verify_level_distributed(
@@ -68,7 +68,7 @@ TEST(DistVerify, DetectsADoctoredValue) {
                                std::move(storage));
   }
 
-  msg::ThreadWorld world(config.ranks);
+  msg::RoundWorld world(config.ranks);
   std::uint64_t failures = 0;
   for (int level = 0; level <= 5; ++level) {
     const game::AwariLevel game(level);
@@ -82,7 +82,7 @@ TEST(DistVerify, WorksWithThreadsAndTinyBuffers) {
   ParallelConfig config;
   config.ranks = 6;
   const auto result = build_parallel(game::AwariFamily{}, 5, config);
-  msg::ThreadWorld world(config.ranks);
+  msg::RoundWorld world(config.ranks);
   const game::AwariLevel game(5);
   const VerifySummary summary = verify_level_distributed(
       game, 5, *result.database, world, /*combine_bytes=*/1,
@@ -95,7 +95,7 @@ TEST(DistVerify, ReplicatedDatabaseNeedsNoMessages) {
   config.ranks = 3;
   config.replicate_lower = true;
   const auto result = build_parallel(game::AwariFamily{}, 4, config);
-  msg::ThreadWorld world(config.ranks);
+  msg::RoundWorld world(config.ranks);
   const game::AwariLevel game(4);
   const VerifySummary summary =
       verify_level_distributed(game, 4, *result.database, world);

@@ -2,9 +2,12 @@
 
 #include <cstring>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "retra/msg/combiner.hpp"
 #include "retra/msg/mailbox.hpp"
+#include "retra/msg/round_world.hpp"
 #include "retra/msg/thread_comm.hpp"
 #include "retra/msg/wire.hpp"
 
@@ -91,6 +94,69 @@ TEST(ThreadWorld, TransportStatsCount) {
   EXPECT_EQ(world.endpoint(0).transport_stats().bytes_sent, 6u);
   EXPECT_EQ(world.endpoint(1).transport_stats().messages_received, 2u);
   EXPECT_EQ(world.endpoint(1).transport_stats().bytes_received, 6u);
+}
+
+TEST(RoundWorld, DeliversThroughDriverOnly) {
+  RoundWorld world(2);
+  world.endpoint(0).send(1, 7, std::vector<std::byte>(3));
+  Message m;
+  // Not delivered until the driver closes the round.
+  EXPECT_FALSE(world.endpoint(1).try_recv(m));
+  std::vector<std::pair<int, int>> seen;  // (source, dest)
+  world.deliver_round([&](const RoundWorld::Envelope& out) {
+    seen.emplace_back(out.message.source, out.dest);
+  });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], std::make_pair(0, 1));
+  ASSERT_TRUE(world.endpoint(1).try_recv(m));
+  EXPECT_EQ(m.source, 0);
+  EXPECT_EQ(m.tag, 7);
+  EXPECT_EQ(m.payload.size(), 3u);
+  EXPECT_FALSE(world.endpoint(1).try_recv(m));
+}
+
+TEST(RoundWorld, SentInRoundKIsFirstReceivedInRoundKPlusOne) {
+  // Ranks step in turn as the sequential driver steps them: rank 1 steps
+  // after rank 0 sent, yet sees nothing until the round has closed.
+  RoundWorld world(2);
+  Message m;
+  for (int round = 0; round < 3; ++round) {
+    world.endpoint(0).send(1, static_cast<std::uint8_t>(round),
+                           bytes_of("r"));
+    world.endpoint(0).send(0, static_cast<std::uint8_t>(round),
+                           bytes_of("self"));
+    if (round == 0) {
+      EXPECT_FALSE(world.endpoint(1).try_recv(m));
+      EXPECT_FALSE(world.endpoint(0).try_recv(m));
+    } else {
+      ASSERT_TRUE(world.endpoint(1).try_recv(m));
+      EXPECT_EQ(m.tag, round - 1);
+      EXPECT_FALSE(world.endpoint(1).try_recv(m));
+      ASSERT_TRUE(world.endpoint(0).try_recv(m));
+      EXPECT_EQ(m.tag, round - 1);
+    }
+    world.deliver_round();
+  }
+}
+
+TEST(RoundWorld, DeliversInSourceThenSendOrder) {
+  RoundWorld world(3);
+  world.endpoint(2).send(0, 20, {});
+  world.endpoint(1).send(0, 10, {});
+  world.endpoint(2).send(0, 21, {});
+  world.endpoint(0).send(0, 0, {});
+  std::vector<int> tags;
+  world.deliver_round([&](const RoundWorld::Envelope& out) {
+    tags.push_back(out.message.tag);
+  });
+  EXPECT_EQ(tags, (std::vector<int>{0, 10, 20, 21}));
+  Message m;
+  for (const int tag : tags) {
+    ASSERT_TRUE(world.endpoint(0).try_recv(m));
+    EXPECT_EQ(m.tag, tag);
+  }
+  EXPECT_EQ(world.endpoint(2).transport_stats().messages_sent, 2u);
+  EXPECT_EQ(world.endpoint(0).transport_stats().messages_received, 4u);
 }
 
 TEST(Combiner, CombinesUpToFlushSize) {

@@ -1,12 +1,19 @@
 // The distributed engine's contract: for any rank count, partition scheme,
 // combining buffer size, lower-database mode and driver, the gathered
 // distributed database is bit-identical to the sequential solver's.
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "retra/game/awari_level.hpp"
 #include "retra/game/graph_game.hpp"
 #include "retra/para/parallel_solver.hpp"
+#include "retra/para/sim_build.hpp"
 #include "retra/ra/builder.hpp"
+#include "same_run.hpp"
 
 namespace retra::para {
 namespace {
@@ -111,13 +118,57 @@ TEST(Parallel, ReplicatedNeverSendsLookups) {
 }
 
 TEST(Parallel, ThreadDriverMatchesSequentialDriver) {
-  ParallelConfig sequential;
-  sequential.ranks = 4;
-  ParallelConfig threaded = sequential;
-  threaded.use_threads = true;
-  const auto a = build_parallel(game::AwariFamily{}, 5, sequential);
-  const auto b = build_parallel(game::AwariFamily{}, 5, threaded);
-  EXPECT_EQ(a.database->gather(), b.database->gather());
+  // Both settings run the same rounds over a round-delivered world, so
+  // everything a build reports is equal, not just its database.
+  const std::string scratch =
+      (std::filesystem::temp_directory_path() /
+       ("retra_drivers_" + std::to_string(::getpid())))
+          .string();
+  auto same_run = [&](ParallelConfig sequential) {
+    ParallelConfig threaded = sequential;
+    threaded.use_threads = true;
+    if (sequential.store.out_of_core()) {
+      sequential.store.scratch_dir = scratch + "/sequential";
+      threaded.store.scratch_dir = scratch + "/threaded";
+    }
+    const auto a = build_parallel(game::AwariFamily{}, 5, sequential);
+    const auto b = build_parallel(game::AwariFamily{}, 5, threaded);
+    expect_same_run(b, a);
+  };
+  for (const int ranks : {2, 4, 6}) {
+    for (const int threads : {1, 2}) {
+      for (const PartitionScheme scheme :
+           {PartitionScheme::kCyclic, PartitionScheme::kBlock,
+            PartitionScheme::kBlockCyclic}) {
+        for (const bool replicate : {false, true}) {
+          for (const bool out_of_core : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "P=" << ranks << " T=" << threads << " scheme "
+                         << static_cast<int>(scheme) << " replicate "
+                         << replicate << " out-of-core " << out_of_core);
+            ParallelConfig config;
+            config.ranks = ranks;
+            config.threads_per_rank = threads;
+            config.oversubscribe = true;
+            config.scheme = scheme;
+            config.block_size = 16;
+            config.replicate_lower = replicate;
+            // Below one block: every completed level spills and faults.
+            if (out_of_core) config.store.working_set_bytes = 1024;
+            same_run(config);
+          }
+        }
+      }
+    }
+  }
+  // The idle fault plan routes every frame through the reliable stack.
+  ParallelConfig idle;
+  idle.ranks = 4;
+  idle.fault_plan.crash_rank = 0;
+  idle.fault_plan.crash_level = 1000;
+  SCOPED_TRACE("idle fault plan");
+  same_run(idle);
+  std::filesystem::remove_all(scratch);
 }
 
 TEST(Parallel, ThreadDriverGraphGame) {
@@ -179,8 +230,17 @@ TEST(Parallel, CombiningReducesMessagesNotRecords) {
                        info.total.lookups_remote + info.total.replies_sent;
   }
   EXPECT_EQ(records_with, records_without);
-  // ...but far fewer messages.
-  EXPECT_LT(with.total_messages() * 10, without.total_messages());
+  // ...but far fewer messages: exactly the cluster model's counts, since
+  // the host build and the simulated one run the same rounds.
+  const sim::ClusterModel model;
+  EXPECT_EQ(with.total_messages(),
+            build_parallel_simulated(game::AwariFamily{}, 6, combined, model)
+                .total_messages());
+  EXPECT_EQ(without.total_messages(),
+            build_parallel_simulated(game::AwariFamily{}, 6, naive, model)
+                .total_messages());
+  EXPECT_EQ(with.total_messages(), 4401u);
+  EXPECT_EQ(without.total_messages(), 28333u);
 }
 
 TEST(Parallel, MemoryDividesAcrossRanks) {

@@ -8,7 +8,7 @@
 #include "retra/sim/cluster_model.hpp"
 #include "retra/sim/projection.hpp"
 #include "retra/sim/sim_driver.hpp"
-#include "retra/sim/sim_world.hpp"
+#include "same_run.hpp"
 
 namespace retra::sim {
 namespace {
@@ -32,21 +32,6 @@ TEST(EthernetModel, MediumTimeHasMinimumFrame) {
 TEST(ClusterModel, BarrierGrowsWithRanks) {
   ClusterModel model;
   EXPECT_LT(model.barrier_seconds(2), model.barrier_seconds(64));
-}
-
-TEST(SimWorld, DeliversThroughDriverOnly) {
-  SimWorld world(2);
-  world.endpoint(0).send(1, 7, std::vector<std::byte>(3));
-  msg::Message m;
-  // Not delivered until the driver moves it.
-  EXPECT_FALSE(world.endpoint(1).try_recv(m));
-  auto outbox = world.take_outbox();
-  ASSERT_EQ(outbox.size(), 1u);
-  EXPECT_EQ(outbox[0].source, 0);
-  EXPECT_EQ(outbox[0].dest, 1);
-  world.deliver(outbox[0].dest, std::move(outbox[0].message));
-  ASSERT_TRUE(world.endpoint(1).try_recv(m));
-  EXPECT_EQ(m.tag, 7);
 }
 
 TEST(SimBuild, ValuesIdenticalToSequential) {
@@ -138,29 +123,67 @@ TEST(SimBuild, GraphGameWorksToo) {
 }
 
 TEST(SimBuild, LevelCountersMatchTheHostBuild) {
-  // One level loop serves both builds, so what a level reports must not
-  // depend on which one ran it: the databases, the summed work and store
-  // activity agree with the sequential host build, and under replication
-  // a level's rounds cover the exchange in both.
+  // One level loop, one round loop and one round-delivered world serve
+  // every build, so what a level reports must not depend on which one ran
+  // it: the database, rounds, per-rank EngineStats (messages and payload
+  // included) and work meters of the simulated build equal both host
+  // drivers', and so does the summed store activity.
   for (const bool replicate : {false, true}) {
     para::ParallelConfig config;
     config.ranks = 4;
     config.replicate_lower = replicate;
-    const para::ParallelResult host =
-        para::build_parallel(game::AwariFamily{}, 6, config);
     const para::SimBuildResult sim = para::build_parallel_simulated(
         game::AwariFamily{}, 6, config, ClusterModel{});
-    EXPECT_EQ(sim.database->gather(), host.database->gather());
-    ASSERT_EQ(sim.levels.size(), host.levels.size());
     ASSERT_EQ(sim.timings.size(), sim.levels.size());
-    for (std::size_t l = 0; l < host.levels.size(); ++l) {
-      EXPECT_EQ(sim.levels[l].work_total.counts,
-                host.levels[l].work_total.counts)
-          << "level " << l << " replicate " << replicate;
-      EXPECT_EQ(sim.levels[l].store_total, host.levels[l].store_total)
-          << "level " << l << " replicate " << replicate;
-      EXPECT_EQ(sim.levels[l].rounds, sim.timings[l].rounds)
-          << "level " << l << " replicate " << replicate;
+    for (const bool threads : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "replicate " << replicate
+                                        << " threads " << threads);
+      config.use_threads = threads;
+      const para::ParallelResult host =
+          para::build_parallel(game::AwariFamily{}, 6, config);
+      para::expect_same_run(sim, host);
+      for (std::size_t l = 0; l < host.levels.size(); ++l) {
+        EXPECT_EQ(sim.levels[l].store_total, host.levels[l].store_total)
+            << "level " << l;
+      }
+    }
+    for (std::size_t l = 0; l < sim.levels.size(); ++l) {
+      EXPECT_EQ(sim.levels[l].rounds, sim.timings[l].rounds) << "level " << l;
+      if (replicate) continue;  // the exchange's messages are not the engines'
+      EXPECT_EQ(sim.levels[l].total.messages_sent, sim.timings[l].messages)
+          << "level " << l;
+      EXPECT_EQ(sim.levels[l].total.payload_bytes,
+                sim.timings[l].payload_bytes)
+          << "level " << l;
+    }
+  }
+}
+
+TEST(SimBuild, ThreadedStepsPriceTheSameRun) {
+  // The cluster clock prices each rank's step from that rank's state
+  // alone, so stepping the ranks on their own threads changes no virtual
+  // second, let alone a message.
+  para::ParallelConfig config;
+  config.ranks = 6;
+  config.combine_bytes = 256;
+  const ClusterModel model;
+  const para::SimBuildResult sequential = para::build_parallel_simulated(
+      game::AwariFamily{}, 6, config, model);
+  config.use_threads = true;
+  const para::SimBuildResult threaded = para::build_parallel_simulated(
+      game::AwariFamily{}, 6, config, model);
+  para::expect_same_run(threaded, sequential);
+  ASSERT_EQ(threaded.timings.size(), sequential.timings.size());
+  for (std::size_t l = 0; l < sequential.timings.size(); ++l) {
+    const SimRunResult& a = sequential.timings[l];
+    const SimRunResult& b = threaded.timings[l];
+    EXPECT_EQ(b.time_s, a.time_s) << "level " << l;
+    EXPECT_EQ(b.messages, a.messages) << "level " << l;
+    EXPECT_EQ(b.network_busy_s, a.network_busy_s) << "level " << l;
+    ASSERT_EQ(b.per_rank.size(), a.per_rank.size());
+    for (std::size_t r = 0; r < a.per_rank.size(); ++r) {
+      EXPECT_EQ(b.per_rank[r].compute_s, a.per_rank[r].compute_s);
+      EXPECT_EQ(b.per_rank[r].idle_s, a.per_rank[r].idle_s);
     }
   }
 }

@@ -23,10 +23,12 @@
 #include "retra/game/awari_level.hpp"
 #include "retra/game/graph_game.hpp"
 #include "retra/game/kalah_level.hpp"
+#include "retra/msg/round_world.hpp"
 #include "retra/msg/thread_comm.hpp"
 #include "retra/obs/metrics.hpp"
 #include "retra/para/parallel_solver.hpp"
 #include "retra/ra/builder.hpp"
+#include "same_run.hpp"
 
 namespace retra::para {
 namespace {
@@ -72,6 +74,60 @@ TEST(StepReport, ReductionIdentityIsAnIdentity) {
   EXPECT_TRUE(zero.ready);
   EXPECT_EQ(zero.records_sent, 0u);
   EXPECT_EQ(zero.work, 0u);
+}
+
+// ------------------------------------------------------------------
+// One round loop: a message sent in round k is first received in k + 1.
+
+/// Sends one record to the next rank in its first superstep and notes the
+/// round in which its own record arrives; the phase ends once all have.
+class RingEngine {
+ public:
+  explicit RingEngine(msg::Comm& comm) : comm_(comm) {}
+
+  StepReport superstep() {
+    StepReport step;
+    ++round_;
+    msg::Message message;
+    while (comm_.try_recv(message)) {
+      received_in_ = round_;
+      ++step.records_received;
+      ++step.work;
+    }
+    if (round_ == 1) {
+      comm_.send((comm_.rank() + 1) % comm_.size(), 1,
+                 std::vector<std::byte>(1));
+      ++step.records_sent;
+    }
+    step.ready = true;
+    return step;
+  }
+  void advance() { done_ = true; }
+  bool done() const { return done_; }
+  int received_in() const { return received_in_; }
+
+ private:
+  msg::Comm& comm_;
+  int round_ = 0;
+  int received_in_ = 0;
+  bool done_ = false;
+};
+
+TEST(BspDriver, RoundKMessagesArriveInRoundKPlusOneInEitherSetting) {
+  for (const bool threads : {false, true}) {
+    msg::RoundWorld world(3);
+    std::vector<std::unique_ptr<RingEngine>> engines;
+    for (int rank = 0; rank < world.size(); ++rank) {
+      engines.push_back(std::make_unique<RingEngine>(world.endpoint(rank)));
+    }
+    // Round 1 sends, round 2 receives, round 3 is quiet and ends the
+    // phase, round 4 runs after advance() and stops.
+    EXPECT_EQ(run_bsp(engines, threads, RoundDelivery{world}), 4u)
+        << "threads " << threads;
+    for (const auto& engine : engines) {
+      EXPECT_EQ(engine->received_in(), 2) << "threads " << threads;
+    }
+  }
 }
 
 // ------------------------------------------------------------------
@@ -174,19 +230,6 @@ TEST(ThreadedRank, KalahMatchesSequential) {
 // ------------------------------------------------------------------
 // Deterministic stats merge.
 
-void expect_same_stats(const EngineStats& a, const EngineStats& b,
-                       int level, int rank) {
-  EXPECT_EQ(a.updates_remote, b.updates_remote) << level << "/" << rank;
-  EXPECT_EQ(a.updates_local, b.updates_local) << level << "/" << rank;
-  EXPECT_EQ(a.lookups_remote, b.lookups_remote) << level << "/" << rank;
-  EXPECT_EQ(a.lookups_local, b.lookups_local) << level << "/" << rank;
-  EXPECT_EQ(a.replies_sent, b.replies_sent) << level << "/" << rank;
-  EXPECT_EQ(a.assignments, b.assignments) << level << "/" << rank;
-  EXPECT_EQ(a.zero_filled, b.zero_filled) << level << "/" << rank;
-  EXPECT_EQ(a.messages_sent, b.messages_sent) << level << "/" << rank;
-  EXPECT_EQ(a.payload_bytes, b.payload_bytes) << level << "/" << rank;
-}
-
 TEST(ThreadedRank, StatsAndMetersIdenticalAcrossThreadCounts) {
   const ParallelResult reference =
       build_parallel(game::AwariFamily{}, 6, with_threads(2, 1));
@@ -214,28 +257,6 @@ TEST(ThreadedRank, StatsAndMetersIdenticalAcrossThreadCounts) {
 
 // ------------------------------------------------------------------
 // Per-phase thread splits and sweep-kernel backends.
-
-void expect_same_run(const ParallelResult& got,
-                     const ParallelResult& expect) {
-  EXPECT_EQ(got.database->gather(), expect.database->gather());
-  ASSERT_EQ(got.levels.size(), expect.levels.size());
-  for (std::size_t l = 0; l < expect.levels.size(); ++l) {
-    EXPECT_EQ(got.levels[l].rounds, expect.levels[l].rounds);
-    ASSERT_EQ(got.levels[l].per_rank.size(),
-              expect.levels[l].per_rank.size());
-    for (std::size_t r = 0; r < expect.levels[l].per_rank.size(); ++r) {
-      expect_same_stats(got.levels[l].per_rank[r],
-                        expect.levels[l].per_rank[r],
-                        expect.levels[l].level, static_cast<int>(r));
-      for (std::size_t k = 0; k < msg::kWorkKinds; ++k) {
-        EXPECT_EQ(got.levels[l].work_per_rank[r].counts[k],
-                  expect.levels[l].work_per_rank[r].counts[k])
-            << "level " << expect.levels[l].level << " rank " << r
-            << " kind " << k;
-      }
-    }
-  }
-}
 
 class PhaseSplit
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -307,6 +328,7 @@ class RecordingWorld {
     }
   }
 
+  int size() const { return inner_.size(); }
   msg::Comm& endpoint(int rank) {
     return *endpoints_[static_cast<std::size_t>(rank)];
   }
@@ -360,9 +382,9 @@ std::vector<std::uint64_t> record_stream_digests(int ranks,
   ParallelConfig config = with_threads(ranks, 1);
   config.threads_drain = threads_drain;
   const ParallelResult result = build_levels(
-      game::AwariFamily{}, 7, config, world, nullptr,
+      game::AwariFamily{}, 7, config, world,
       [](int, auto& engines) -> std::uint64_t {
-        return run_bsp_sequential(engines);
+        return run_bsp(engines, false);
       });
   EXPECT_EQ(result.database->gather(),
             ra::build_database(game::AwariFamily{}, 7));
