@@ -10,17 +10,19 @@
 //   $ bench_q1_query --level=8 --budget-kb=16 --queries=200000
 //   $ bench_q1_query --db=/tmp/awari10.db --batch=64 --json=BENCH_q1.json
 //
-// When building its own scratch database (no --db), the bench also runs
-// a compressed-vs-raw sweep: the same levels saved as RTRADB02 and
-// block-compressed RTRADB03, per-level size ratios, and point-lookup
+// When building its own scratch database (no --db), the bench saves it
+// as RTRADB03 at the default block geometry and also runs a block-size
+// sweep: the same levels saved again at the largest geometry
+// (kMaxBlockPositions, so one block per level at these sizes), per-level
+// stored sizes of both files against the decoded bytes, and point-lookup
 // p50/p99 latency through each file under the same budget
 // (--compare=false skips it).
 //
 // --json writes a retra-bench-v1 artifact whose metrics array is the obs
-// delta of the served phases plus the sweep — serve.lookups and friends
-// cover both, and the sweep contributes db.compress.* (from the
-// compressed save) and serve.blockcache.* (from serving it); see
-// tests/test_serve.cpp for the exact-reconcile version of the pipeline.
+// delta of the scratch save, the served phases and the sweep —
+// serve.lookups and friends cover both files, db.compress.* both saves,
+// and serve.blockcache.* every fault; see tests/test_serve.cpp for the
+// exact-reconcile version of the pipeline.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -129,7 +131,7 @@ void add_row(support::Table& table, const char* phase,
                : static_cast<double>(result.lookups) / result.seconds / 1e6);
 }
 
-// ---- compressed-vs-raw sweep --------------------------------------
+// ---- block-size sweep ---------------------------------------------
 
 struct LatencyStats {
   double p50_us = 0;
@@ -189,57 +191,66 @@ std::string scheme_histogram(const db::LevelLocation& location) {
   return text.empty() ? "-" : text;
 }
 
-/// Saves `database` compressed next to the raw scratch file, prints the
-/// per-level ratio table and the p50/p99 point-lookup latencies of both
-/// files under the same budget.
-void run_sweep(const db::Database& database, const std::string& raw_path,
+/// Saves `database` again at the largest block geometry next to the
+/// scratch file (default geometry), prints the per-level table of both
+/// files' stored bytes against the decoded bytes, and the p50/p99
+/// point-lookup latencies of both files under the same budget.
+void run_sweep(const db::Database& database, const std::string& path,
                std::uint64_t budget, const Workload& work, int samples) {
-  const std::string compressed_path = raw_path + ".c";
-  db::save(database, compressed_path, db::Format{.version = 3});
+  const std::string large_path = path + ".large";
+  db::save(database, large_path,
+           db::Format{.block_positions = db::kMaxBlockPositions});
+  const db::FileIndex small = db::scan(path);
+  const db::FileIndex large = db::scan(large_path);
 
-  auto scanned = [](const std::string& p) {
-    std::FILE* f = std::fopen(p.c_str(), "rb");
-    db::FileIndex index = db::scan(f);
-    std::fclose(f);
-    return index;
+  std::printf(
+      "\nblock-size sweep: %u vs %u positions per block (%d point "
+      "lookups, same budget):\n",
+      db::kDefaultBlockPositions, db::kMaxBlockPositions, samples);
+  support::Table table({"level", "decoded bytes", "stored", "ratio",
+                        "schemes", "stored (large)", "ratio (large)",
+                        "schemes (large)"});
+  const auto ratio = [](const db::LevelLocation& location) {
+    return location.payload_bytes == 0
+               ? 1.0
+               : static_cast<double>(location.decoded_bytes()) /
+                     static_cast<double>(location.payload_bytes);
   };
-  const db::FileIndex compressed = scanned(compressed_path);
-
-  std::printf("\ncompressed-vs-raw sweep (%d point lookups, same budget):\n",
-              samples);
-  support::Table table(
-      {"level", "raw bytes", "compressed", "ratio", "schemes"});
-  for (const db::LevelLocation& location : compressed.levels) {
+  for (std::size_t l = 0; l < small.levels.size(); ++l) {
+    const db::LevelLocation& at_default = small.levels[l];
+    const db::LevelLocation& at_large = large.levels[l];
     table.row()
-        .add(location.level)
-        .add(support::with_thousands(location.decoded_bytes()))
-        .add(support::with_thousands(location.payload_bytes))
-        .add(location.payload_bytes == 0
-                 ? 1.0
-                 : static_cast<double>(location.decoded_bytes()) /
-                       static_cast<double>(location.payload_bytes))
-        .add(scheme_histogram(location));
+        .add(at_default.level)
+        .add(support::with_thousands(at_default.decoded_bytes()))
+        .add(support::with_thousands(at_default.payload_bytes))
+        .add(ratio(at_default))
+        .add(scheme_histogram(at_default))
+        .add(support::with_thousands(at_large.payload_bytes))
+        .add(ratio(at_large))
+        .add(scheme_histogram(at_large));
   }
   table.print();
   const auto file_bytes = [](const std::string& p) {
-    return static_cast<std::uint64_t>(std::filesystem::file_size(p));
+    return support::with_thousands(
+        static_cast<std::uint64_t>(std::filesystem::file_size(p)));
   };
-  const std::uint64_t raw_bytes = file_bytes(raw_path);
-  const std::uint64_t compressed_bytes = file_bytes(compressed_path);
-  std::printf("file bytes: raw %s, compressed %s (ratio %.2f)\n",
-              support::with_thousands(raw_bytes).c_str(),
-              support::with_thousands(compressed_bytes).c_str(),
-              static_cast<double>(raw_bytes) /
-                  static_cast<double>(compressed_bytes));
-
-  const LatencyStats raw = measure_latency(raw_path, budget, work, samples);
-  const LatencyStats comp =
-      measure_latency(compressed_path, budget, work, samples);
   std::printf(
-      "latency: raw p50 %.2fus p99 %.2fus, compressed p50 %.2fus p99 "
-      "%.2fus\n",
-      raw.p50_us, raw.p99_us, comp.p50_us, comp.p99_us);
-  std::remove(compressed_path.c_str());
+      "file bytes: decoded %s, %u-position blocks %s, %u-position blocks "
+      "%s\n",
+      support::with_thousands(small.total_decoded_bytes()).c_str(),
+      db::kDefaultBlockPositions, file_bytes(path).c_str(),
+      db::kMaxBlockPositions, file_bytes(large_path).c_str());
+
+  const LatencyStats at_default =
+      measure_latency(path, budget, work, samples);
+  const LatencyStats at_large =
+      measure_latency(large_path, budget, work, samples);
+  std::printf(
+      "latency: %u-position blocks p50 %.2fus p99 %.2fus, %u-position "
+      "blocks p50 %.2fus p99 %.2fus\n",
+      db::kDefaultBlockPositions, at_default.p50_us, at_default.p99_us,
+      db::kMaxBlockPositions, at_large.p50_us, at_large.p99_us);
+  std::remove(large_path.c_str());
 }
 
 }  // namespace
@@ -249,14 +260,14 @@ int main(int argc, char** argv) {
   cli.describe(
       "Query-serving bench: cold/hot/batched lookup throughput of the "
       "file-backed QueryService under a residency budget.");
-  cli.flag("db", "", "serve this database file (default: build and pack)");
+  cli.flag("db", "", "serve this database file (default: build and save)");
   cli.flag("level", "8", "levels to build when no --db is given");
   cli.flag("budget-kb", "16", "block-cache budget (0 = unlimited)");
   cli.flag("queries", "200000", "lookups per phase");
   cli.flag("batch", "64", "max lookups per batched values() call");
   cli.flag("seed", "7", "workload random seed");
   cli.flag("compare", "true",
-           "run the compressed-vs-raw sweep (build mode only)");
+           "run the block-size sweep (build mode only)");
   cli.flag("sweep-queries", "50000", "point lookups per sweep measurement");
   bench::add_output_flags(cli);
   cli.parse(argc, argv);
@@ -265,7 +276,8 @@ int main(int argc, char** argv) {
   const int batch = static_cast<int>(cli.integer("batch"));
 
   // Resolve the database file: an existing one via --db, otherwise build
-  // in memory and pack to a scratch RTRADB02 file.
+  // in memory and save to a scratch file.  The artifact's obs window
+  // opens before that save, so it carries its db.compress.* counts.
   std::string path = cli.str("db");
   std::string scratch;
   db::Database database;
@@ -275,10 +287,13 @@ int main(int argc, char** argv) {
     scratch = (std::filesystem::temp_directory_path() /
                ("bench_q1_awari" + std::to_string(level) + ".db"))
                   .string();
-    db::save(database, scratch, db::Format{.version = 2});
     path = scratch;
-    std::printf("built levels 0..%d and packed them to %s\n", level,
-                path.c_str());
+  }
+  const obs::Snapshot before = obs::snapshot();
+  if (!scratch.empty()) {
+    db::save(database, scratch);
+    std::printf("built levels 0..%d and saved them to %s\n",
+                database.num_levels() - 1, path.c_str());
   }
 
   serve::QueryServiceConfig config;
@@ -292,7 +307,7 @@ int main(int argc, char** argv) {
   }
   serve::QueryService& service = *opened.service;
   std::printf(
-      "serving %s: %d levels, %llu packed bytes, budget %llu bytes\n",
+      "serving %s: %d levels, %llu stored bytes, budget %llu bytes\n",
       path.c_str(), service.num_levels(),
       static_cast<unsigned long long>(service.index().total_payload_bytes()),
       static_cast<unsigned long long>(config.budget_bytes));
@@ -300,7 +315,6 @@ int main(int argc, char** argv) {
   const Workload work = make_workload(
       service, queries, static_cast<std::uint64_t>(cli.integer("seed")));
 
-  const obs::Snapshot before = obs::snapshot();
   // Cold: first touch of every level comes off the file.
   const PhaseResult cold = run_single(service, work);
   // Hot: identical stream again — faults now measure budget thrash only.
@@ -320,8 +334,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(service.stats().resident_bytes),
       service.resident_levels().size());
 
-  // Compressed-vs-raw sweep (inside the artifact's obs window, so the
-  // metrics delta carries db.compress.* and serve.blockcache.*).
+  // Block-size sweep (inside the artifact's obs window, so the metrics
+  // delta carries its db.compress.* and serve.blockcache.* too).
   if (cli.boolean("compare") && !scratch.empty()) {
     run_sweep(database, scratch, config.budget_bytes, work,
               static_cast<int>(cli.integer("sweep-queries")));

@@ -1,6 +1,6 @@
 // Q2 — Network serving latency and throughput.
 //
-// Spins up an in-process retra-net-v1 server (src/net) over a packed
+// Spins up an in-process retra-net-v1 server (src/net) over an RTRADB03
 // database and drives it with the shared load generator
 // (bench_net_common.hpp) at several connection counts, closed-loop and
 // pipelined: per-round-trip p50/p99 latency, round trips per second,
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   cli.describe(
       "Network serving bench: closed-loop and pipelined lookup latency "
       "and throughput against an in-process retra-net-v1 server.");
-  cli.flag("db", "", "serve this database file (default: build and pack)");
+  cli.flag("db", "", "serve this database file (default: build and save)");
   cli.flag("level", "7", "levels to build when no --db is given");
   cli.flag("budget-kb", "0", "QueryService budget (0 = unlimited)");
   cli.flag("hot-kb", "1024", "hot-tier budget (0 disables the tier)");
@@ -86,9 +86,9 @@ int main(int argc, char** argv) {
     scratch = (std::filesystem::temp_directory_path() /
                ("bench_q2_awari" + std::to_string(level) + ".db"))
                   .string();
-    db::save(database, scratch, db::Format{.version = 2});
+    db::save(database, scratch);
     path = scratch;
-    std::printf("built levels 0..%d and packed them to %s\n", level,
+    std::printf("built levels 0..%d and saved them to %s\n", level,
                 path.c_str());
   }
 

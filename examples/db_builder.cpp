@@ -6,7 +6,6 @@
 //   $ db_builder --game=kalah --level=9 --sequential
 //   $ db_builder --level=12 --checkpoint=/tmp/ck   # crash-safe, resumable
 #include <cstdio>
-#include <cstdlib>
 
 #include "retra/db/db_io.hpp"
 #include "retra/db/db_stats.hpp"
@@ -22,26 +21,6 @@
 namespace {
 
 using namespace retra;
-
-/// Resolves --format (v1|v2|v3) and --block-positions.
-db::Format output_format(const support::Cli& cli) {
-  db::Format format;
-  const std::string name = cli.str("format");
-  if (name == "v1") {
-    format.version = 1;
-  } else if (name == "v2") {
-    format.version = 2;
-  } else if (name == "v3") {
-    format.version = 3;
-  } else {
-    std::fprintf(stderr, "unknown --format=%s (want v1, v2 or v3)\n",
-                 name.c_str());
-    std::exit(2);
-  }
-  format.block_positions =
-      static_cast<std::uint32_t>(cli.integer("block-positions"));
-  return format;
-}
 
 template <typename Family>
 int run(const Family& family, const support::Cli& cli) {
@@ -144,12 +123,10 @@ int run(const Family& family, const support::Cli& cli) {
   table.print();
 
   if (const std::string out = cli.str("out"); !out.empty()) {
-    const db::Format format = output_format(cli);
-    db::save(database, out, format);
-    std::printf("wrote %s (%s)\n", out.c_str(),
-                format.version == 3   ? "RTRADB03 block-compressed"
-                : format.version == 2 ? "RTRADB02 packed"
-                                      : "RTRADB01");
+    db::save(database, out,
+             db::Format{.block_positions = static_cast<std::uint32_t>(
+                            cli.integer("block-positions"))});
+    std::printf("wrote %s (RTRADB03)\n", out.c_str());
   }
   return 0;
 }
@@ -179,10 +156,7 @@ int main(int argc, char** argv) {
            "levels out to --scratch-dir (0 = all in memory)");
   cli.flag("scratch-dir", "",
            "directory for spilled levels and drain-queue run files");
-  cli.flag("out", "", "write the database to this file");
-  cli.flag("format", "v1",
-           "on-disk format of --out: v1 (raw), v2 (bit-packed RTRADB02), "
-           "v3 (block-compressed RTRADB03)");
+  cli.flag("out", "", "write the database to this file (RTRADB03)");
   cli.flag("block-positions", "4096",
            "positions per RTRADB03 block (even, at most 65536)");
   cli.parse(argc, argv);

@@ -1,34 +1,27 @@
 // Database persistence.
 //
-// Three compact little-endian on-disk formats (docs/FORMAT.md is the
-// byte-level reference; retra/db/format.hpp holds the shared constants):
+// save() writes one format, RTRADB03 (docs/FORMAT.md is the byte-level
+// reference; retra/db/format.hpp holds the shared constants): the
+// bit-packed level split into fixed-size blocks, each stored raw or
+// compressed under a per-block scheme (BlockScheme), fronted by a block
+// directory so a point lookup reads and decodes exactly one block:
 //
-//   RTRADB01 — raw values, narrowed to one byte when the level's range
-//   allows (always true for awari):
-//     magic "RTRADB01" | u32 level count
+//   magic "RTRADB03" | u32 level count
+//   per level: u64 size | u8 bits | i16 offset | u32 block positions |
+//              u32 block count | u64 payload bytes |
+//              directory (per block: u8 scheme | u32 stored bytes |
+//              u64 offset | u64 checksum) | u64 directory checksum |
+//              concatenated stored blocks
+//
+// The readers also accept the two legacy formats earlier versions wrote,
+// each level read as one implicit block:
+//
+//   RTRADB01 — raw values, one or two bytes each:
 //     per level: u64 size | u8 width (1 or 2 bytes) | payload | u64 checksum
-//
-//   RTRADB02 — offset-coded bit-packed values, the CompactLevel
-//   representation persisted verbatim so a server can fault a level in
-//   without re-packing:
-//     magic "RTRADB02" | u32 level count
+//   RTRADB02 — offset-coded bit-packed values:
 //     per level: u64 size | u8 bits (4, 8 or 16) | i16 offset |
 //                u64 payload bytes | payload | u64 checksum
 //
-//   RTRADB03 — the bit-packed level split into fixed-size blocks, each
-//   stored raw or compressed under a per-block scheme (BlockScheme),
-//   fronted by a block directory so a point lookup reads and decodes
-//   exactly one block:
-//     magic "RTRADB03" | u32 level count
-//     per level: u64 size | u8 bits | i16 offset | u32 block positions |
-//                u32 block count | u64 payload bytes |
-//                directory (per block: u8 scheme | u32 stored bytes |
-//                u64 offset | u64 checksum) | u64 directory checksum |
-//                concatenated stored blocks
-//
-// load() accepts all three; save() writes the version selected by
-// db::Format — RTRADB01 by default, RTRADB02 with Format{.version = 2}
-// and RTRADB03 with Format{.version = 3}.
 // scan()/read_level()/read_block() expose the level directory without
 // materialising payloads — the serving layer
 // (retra/serve/file_source.hpp) uses them for on-demand residency.
@@ -44,22 +37,24 @@
 
 namespace retra::db {
 
-/// Which on-disk format save() writes.
+/// How save() lays out its RTRADB03 file.
 struct Format {
-  /// 1 = RTRADB01 raw, 2 = RTRADB02 bit-packed, 3 = RTRADB03
-  /// block-compressed.
-  int version = 1;
-  /// RTRADB03 positions per block; must be even and at most
-  /// kMaxBlockPositions.  Ignored by versions 1 and 2.
+  /// Must be 3: save() writes RTRADB03 only and rejects any other value.
+  /// The field stays so that callers spelling the version out
+  /// (`Format{.version = 3}`) keep compiling.
+  int version = 3;
+  /// Positions per block; must be even and at most kMaxBlockPositions.
   std::uint32_t block_positions = kDefaultBlockPositions;
 };
 
-/// Writes the database; aborts on I/O failure (callers are CLI tools).
+/// Writes the database as RTRADB03; aborts on I/O failure (callers are
+/// CLI tools).
 void save(const Database& database, const std::string& path,
           const Format& format = {});
 
 /// Result of load(): either a database or a diagnosis of why the file was
-/// rejected (missing, malformed, checksum mismatch).
+/// rejected (missing, malformed, checksum mismatch, trailing bytes, a
+/// value decoding to kUnknown).
 struct LoadResult {
   bool ok = false;
   std::string error;

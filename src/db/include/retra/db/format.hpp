@@ -4,12 +4,12 @@
 //
 // Three little-endian formats share the 8-byte magic prefix:
 //
-//   RTRADB01 — raw values, narrowed to one byte when possible;
-//   RTRADB02 — offset-coded bit-packed levels stored verbatim;
-//   RTRADB03 — bit-packed levels split into fixed-size blocks, each
-//   block stored raw or compressed under a per-block scheme chosen at
-//   save time, with a per-level block directory so a point lookup
-//   decompresses exactly one block.
+//   RTRADB01 — raw values, narrowed to one byte when possible (read only);
+//   RTRADB02 — offset-coded bit-packed levels stored verbatim (read only);
+//   RTRADB03 — the one format written: bit-packed levels split into
+//   fixed-size blocks, each block stored raw or compressed under a
+//   per-block scheme chosen at save time, with a per-level block
+//   directory so a point lookup decompresses exactly one block.
 //
 // Everything a reader must agree on — magics, header sanity bounds,
 // block geometry limits, scheme tags and codec parameters — lives here

@@ -188,8 +188,7 @@ std::uint64_t FileIndex::total_decoded_bytes() const {
 
 void save(const Database& database, const std::string& path,
           const Format& format) {
-  RETRA_CHECK_MSG(format.version >= 1 && format.version <= 3,
-                  "unknown RTRADB format version");
+  RETRA_CHECK_MSG(format.version == 3, "db::save writes RTRADB03 only");
   RETRA_CHECK_MSG(format.block_positions >= 1 &&
                       format.block_positions <= kMaxBlockPositions &&
                       format.block_positions % 2 == 0,
@@ -198,47 +197,10 @@ void save(const Database& database, const std::string& path,
   RETRA_CHECK_MSG(file != nullptr, "cannot open for writing: " + path);
   std::FILE* f = file.get();
 
-  const std::string_view magic =
-      format.version == 3 ? kMagic03
-                          : (format.version == 2 ? kMagic02 : kMagic01);
-  write_bytes(f, magic.data(), kMagicBytes);
+  write_bytes(f, kMagic03.data(), kMagicBytes);
   write_pod(f, static_cast<std::uint32_t>(database.num_levels()));
-
   for (int l = 0; l < database.num_levels(); ++l) {
-    const auto& values = database.level(l);
-    if (format.version == 3) {
-      save_compressed_level(f, values, format.block_positions);
-      continue;
-    }
-    if (format.version == 2) {
-      const CompactLevel packed(values);
-      write_pod(f, static_cast<std::uint64_t>(values.size()));
-      write_pod(f, static_cast<std::uint8_t>(packed.bits()));
-      write_pod(f, packed.offset());
-      write_pod(f, static_cast<std::uint64_t>(packed.packed().size()));
-      write_bytes(f, packed.packed().data(), packed.packed().size());
-      write_pod(f, fnv1a(packed.packed().data(), packed.packed().size()));
-      continue;
-    }
-    bool narrow = true;
-    for (const Value v : values) {
-      if (v < INT8_MIN || v > INT8_MAX) {
-        narrow = false;
-        break;
-      }
-    }
-    write_pod(f, static_cast<std::uint64_t>(values.size()));
-    write_pod(f, static_cast<std::uint8_t>(narrow ? 1 : 2));
-    std::uint64_t checksum;
-    if (narrow) {
-      std::vector<std::int8_t> packed(values.begin(), values.end());
-      checksum = fnv1a(packed.data(), packed.size());
-      write_bytes(f, packed.data(), packed.size());
-    } else {
-      checksum = fnv1a(values.data(), values.size() * sizeof(Value));
-      write_bytes(f, values.data(), values.size() * sizeof(Value));
-    }
-    write_pod(f, checksum);
+    save_compressed_level(f, database.level(l), format.block_positions);
   }
   RETRA_CHECK_MSG(std::fflush(f) == 0, "flush failed: " + path);
 }
@@ -400,6 +362,12 @@ FileIndex scan(std::FILE* file) {
     }
     index.levels.push_back(std::move(location));
   }
+  if (file_position(file) != file_size) {
+    return fail(level_count == 0
+                    ? std::string("trailing bytes after the level count")
+                    : "trailing bytes after level " +
+                          std::to_string(level_count - 1));
+  }
   index.ok = true;
   return index;
 }
@@ -550,7 +518,14 @@ LoadResult load(const std::string& path) {
       result.error = level.error;
       return result;
     }
-    result.database.push_level(location.level, level.level.expand());
+    std::vector<Value> values = level.level.expand();
+    // An uncovered header field (the pack offset) can decode a code to
+    // the solver's sentinel, which a finished database never holds.
+    if (std::find(values.begin(), values.end(), kUnknown) != values.end()) {
+      result.error = "unknown value in level " + std::to_string(location.level);
+      return result;
+    }
+    result.database.push_level(location.level, std::move(values));
   }
   result.ok = true;
   return result;

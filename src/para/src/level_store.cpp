@@ -42,8 +42,7 @@ void FileLevelStore::store_shard(std::vector<db::Value> shard) {
     db::Database holder;
     holder.push_level(0, std::move(shard));
     db::save(holder, spilled.path,
-             db::Format{.version = 3,
-                        .block_positions = config_.block_positions});
+             db::Format{.block_positions = config_.block_positions});
     serve::FileSource::OpenResult opened =
         serve::FileSource::open(spilled.path);
     RETRA_CHECK_MSG(opened.ok, "cannot reopen spilled level");

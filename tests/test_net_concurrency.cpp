@@ -51,7 +51,8 @@ struct ScratchDb {
             ("retra_test_net_concurrency." + std::to_string(::getpid()) +
              ".db"))
                .string();
-    db::save(solved(), path, db::Format{.version = 2});
+    db::save(solved(), path,
+             db::Format{.block_positions = db::kMaxBlockPositions});
   }
   ~ScratchDb() { std::remove(path.c_str()); }
   std::string path;

@@ -1,6 +1,6 @@
 // Loopback integration tests for the retra-net-v1 server.
 //
-// A real Server on an ephemeral port serves a packed RTRADB02 fixture;
+// A real Server on an ephemeral port serves an RTRADB03 fixture;
 // real Clients dial 127.0.0.1 and must observe byte-for-byte the values
 // a direct QueryService returns — through single queries, batches,
 // pipelining, and board addressing, with a budget squeezed small enough
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "legacy_fixtures.hpp"
 #include "retra/game/awari_level.hpp"
 #include "retra/net/client.hpp"
 #include "retra/net/server.hpp"
@@ -41,25 +42,29 @@ const db::Database& solved() {
 /// own process, and a shared fixed path lets one process truncate the file
 /// mid-rewrite while a sibling is reading it.
 struct ScratchDb {
-  ScratchDb(const char* stem, int version) {
+  ScratchDb(const char* stem, std::uint32_t block_positions) {
     path = (std::filesystem::temp_directory_path() /
             (std::string(stem) + "." + std::to_string(::getpid()) + ".db"))
                .string();
-    db::save(solved(), path, db::Format{.version = version});
+    db::save(solved(), path, db::Format{.block_positions = block_positions});
   }
   ~ScratchDb() { std::remove(path.c_str()); }
   std::string path;
 };
 
-/// Packs solved() to a per-process RTRADB02 scratch file; built once.
+/// Saves solved() to a per-process scratch file with one block per level
+/// (kMaxBlockPositions exceeds every level), so the server caches whole
+/// levels; built once.
 const std::string& fixture_path() {
-  static const ScratchDb fixture("retra_test_net_server", 2);
+  static const ScratchDb fixture("retra_test_net_server",
+                                 db::kMaxBlockPositions);
   return fixture.path;
 }
 
-/// Compresses solved() to a per-process RTRADB03 scratch file; built once.
+/// Saves solved() at the default block geometry; built once.
 const std::string& compressed_fixture_path() {
-  static const ScratchDb fixture("retra_test_net_server_c", 3);
+  static const ScratchDb fixture("retra_test_net_server_c",
+                                 db::kDefaultBlockPositions);
   return fixture.path;
 }
 
@@ -73,6 +78,28 @@ std::unique_ptr<Client> dial(const Server& server) {
   auto connected = Client::connect("127.0.0.1", server.port());
   EXPECT_TRUE(connected.ok) << connected.error;
   return std::move(connected.client);
+}
+
+/// Every value of `level` (`size` positions), fetched in protocol-sized
+/// batches.
+std::vector<db::Value> fetch_level(Client& client, int level,
+                                   std::uint64_t size) {
+  std::vector<idx::Index> indices(size);
+  std::iota(indices.begin(), indices.end(), idx::Index{0});
+  std::vector<db::Value> remote;
+  for (std::size_t begin = 0; begin < indices.size();
+       begin += kMaxBatchLookups) {
+    const std::size_t count =
+        std::min<std::size_t>(kMaxBatchLookups, indices.size() - begin);
+    std::vector<db::Value> chunk;
+    const auto status = client.batch_query(
+        static_cast<std::uint32_t>(level),
+        std::span(indices).subspan(begin, count), chunk);
+    EXPECT_TRUE(status.ok())
+        << status.transport << " " << error_name(status.code);
+    remote.insert(remote.end(), chunk.begin(), chunk.end());
+  }
+  return remote;
 }
 
 TEST(NetServer, EphemeralPortsAreDistinctAndReported) {
@@ -95,30 +122,34 @@ TEST(NetServer, FullDatabaseAgreementViaBatches) {
   // The anchor test: every value of every level, byte-for-byte, through
   // a server whose budget forces continuous fault/evict underneath.
   ServerConfig config;
-  config.budget_bytes = 2048;  // fits one mid-size packed level
+  config.budget_bytes = 2048;  // fits one mid-size level
   config.hot_bytes = 1024;     // hot tier squeezed too
   auto opened = open_server(config);
   auto client = dial(*opened.server);
   ASSERT_TRUE(client);
   for (int level = 0; level <= kMaxLevel; ++level) {
-    const std::uint64_t size = solved().level(level).size();
-    std::vector<idx::Index> indices(size);
-    std::iota(indices.begin(), indices.end(), idx::Index{0});
-    std::vector<db::Value> remote;
-    // Sweep in protocol-sized chunks.
-    for (std::size_t begin = 0; begin < indices.size();
-         begin += kMaxBatchLookups) {
-      const std::size_t count =
-          std::min<std::size_t>(kMaxBatchLookups, indices.size() - begin);
-      std::vector<db::Value> chunk;
-      const auto status = client->batch_query(
-          static_cast<std::uint32_t>(level),
-          std::span(indices).subspan(begin, count), chunk);
-      ASSERT_TRUE(status.ok())
-          << status.transport << " " << error_name(status.code);
-      remote.insert(remote.end(), chunk.begin(), chunk.end());
+    EXPECT_EQ(fetch_level(*client, level, solved().level(level).size()),
+              solved().level(level))
+        << "level " << level;
+  }
+}
+
+TEST(NetServer, LegacyFixturesServeTheBuiltValues) {
+  // RTRADB01/02 files written before RTRADB03 became the one written
+  // format still serve over the wire, each level one implicit block.
+  const db::Database built = ra::build_database(game::AwariFamily{}, 3);
+  ServerConfig config;
+  config.budget_bytes = 128;  // smaller than level 3: fault + evict
+  for (const char* fixture : {"awari3.rtradb01", "awari3.rtradb02"}) {
+    auto opened = Server::open(test::fixture_path(fixture), config);
+    ASSERT_TRUE(opened.ok) << fixture << ": " << opened.error;
+    auto client = dial(*opened.server);
+    ASSERT_TRUE(client);
+    for (int level = 0; level < built.num_levels(); ++level) {
+      EXPECT_EQ(fetch_level(*client, level, built.level(level).size()),
+                built.level(level))
+          << fixture << " level " << level;
     }
-    EXPECT_EQ(remote, solved().level(level)) << "level " << level;
   }
 }
 
@@ -140,22 +171,7 @@ TEST(NetServer, CompressedDatabaseAgreementViaBatches) {
   for (int sweep = 0; sweep < 2; ++sweep) {
     for (int level = 0; level <= kMaxLevel; ++level) {
       const std::uint64_t size = solved().level(level).size();
-      std::vector<idx::Index> indices(size);
-      std::iota(indices.begin(), indices.end(), idx::Index{0});
-      std::vector<db::Value> remote;
-      for (std::size_t begin = 0; begin < indices.size();
-           begin += kMaxBatchLookups) {
-        const std::size_t count =
-            std::min<std::size_t>(kMaxBatchLookups, indices.size() - begin);
-        std::vector<db::Value> chunk;
-        const auto status = client->batch_query(
-            static_cast<std::uint32_t>(level),
-            std::span(indices).subspan(begin, count), chunk);
-        ASSERT_TRUE(status.ok())
-            << status.transport << " " << error_name(status.code);
-        remote.insert(remote.end(), chunk.begin(), chunk.end());
-      }
-      EXPECT_EQ(remote, solved().level(level))
+      EXPECT_EQ(fetch_level(*client, level, size), solved().level(level))
           << "sweep " << sweep << " level " << level;
       asked += size;
     }

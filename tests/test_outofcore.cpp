@@ -132,9 +132,8 @@ TEST_P(OutOfCoreGrid, MatchesInMemoryBitForBitWithIdenticalStats) {
   // The persisted artifacts agree byte for byte.
   const std::string ref_path = dir_ + "/ref.rtradb";
   const std::string ooc_path = dir_ + "/ooc.rtradb";
-  db::save(reference.database->gather(), ref_path, db::Format{.version = 3});
-  db::save(constrained.database->gather(), ooc_path,
-           db::Format{.version = 3});
+  db::save(reference.database->gather(), ref_path);
+  db::save(constrained.database->gather(), ooc_path);
   EXPECT_EQ(read_file(ref_path), read_file(ooc_path));
 }
 

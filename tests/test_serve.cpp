@@ -13,6 +13,7 @@
 #include <numeric>
 
 #include "bench_common.hpp"
+#include "legacy_fixtures.hpp"
 #include "retra/db/compact.hpp"
 #include "retra/db/db_io.hpp"
 #include "retra/game/awari_level.hpp"
@@ -34,21 +35,13 @@ const db::Database& solved() {
   return database;
 }
 
-/// Saves `solved()` to a scratch file in the requested format.
-std::string save_solved(const char* name, bool pack) {
+/// Saves `solved()` as RTRADB03 with the given block geometry.  The
+/// default, kMaxBlockPositions, exceeds every level's size, so each level
+/// is one block and the cache holds whole levels.
+std::string save_solved(
+    const char* name, std::uint32_t block_positions = db::kMaxBlockPositions) {
   const std::string path = temp_path(name);
-  db::Format format;
-  format.version = pack ? 2 : 1;
-  db::save(solved(), path, format);
-  return path;
-}
-
-/// Saves `solved()` as RTRADB03 with the given block geometry.
-std::string save_solved_compressed(const char* name,
-                                   std::uint32_t block_positions) {
-  const std::string path = temp_path(name);
-  db::save(solved(), path,
-           db::Format{.version = 3, .block_positions = block_positions});
+  db::save(solved(), path, db::Format{.block_positions = block_positions});
   return path;
 }
 
@@ -76,20 +69,23 @@ TEST(ValueSource, CompactAdapterAgreesEverywhere) {
 // The file-backed ValueSource is an unbudgeted QueryService: every block
 // FileSource reads stays cached, so these sweeps check the reader alone.
 TEST(ValueSource, FileSourceAgreesOnBothFormats) {
-  for (const bool pack : {false, true}) {
-    const std::string path = save_solved("retra_serve_agree.db", pack);
-    auto opened = QueryService::open(path);
+  // The legacy RTRADB01/02 fixtures still serve: each level is one
+  // implicit block, answered exactly as the solver built it.
+  const db::Database built = ra::build_database(game::AwariFamily{}, 3);
+  for (const auto& [fixture, version] :
+       {std::pair{"awari3.rtradb01", 1}, std::pair{"awari3.rtradb02", 2}}) {
+    auto opened = QueryService::open(test::fixture_path(fixture));
     ASSERT_TRUE(opened.ok) << opened.error;
-    ASSERT_EQ(opened.service->index().version, pack ? 2 : 1);
-    expect_full_agreement(*opened.service, solved());
+    ASSERT_EQ(opened.service->index().version, version);
+    expect_full_agreement(*opened.service, built);
+    EXPECT_EQ(opened.service->stats().faults, 4u) << fixture;
     EXPECT_EQ(opened.service->stats().evictions, 0u);
-    std::remove(path.c_str());
   }
 }
 
 TEST(ValueSource, FileSourceAgreesOnCompressedFormat) {
   const std::string path =
-      save_solved_compressed("retra_serve_agree_c.db", 1024);
+      save_solved("retra_serve_agree_c.db", 1024);
   auto opened = QueryService::open(path);
   ASSERT_TRUE(opened.ok) << opened.error;
   ASSERT_EQ(opened.service->index().version, 3);
@@ -104,7 +100,7 @@ TEST(ValueSource, QueryServiceCompressedUnderBudgetAgreesEverywhere) {
   // faults, decodes and evicts blocks constantly — agreement proves the
   // block cache never changes an answer.
   const std::string path =
-      save_solved_compressed("retra_serve_budget_c.db", 1024);
+      save_solved("retra_serve_budget_c.db", 1024);
   QueryServiceConfig config;
   config.budget_bytes = 2048;
   auto opened = QueryService::open(path, config);
@@ -118,7 +114,7 @@ TEST(ValueSource, QueryServiceCompressedUnderBudgetAgreesEverywhere) {
 }
 
 TEST(ValueSource, QueryServiceUnderBudgetAgreesEverywhere) {
-  const std::string path = save_solved("retra_serve_budget.db", true);
+  const std::string path = save_solved("retra_serve_budget.db");
   // A budget that fits only a sliver of the file: every level sweep
   // evicts others, so agreement here proves fault/evict round-trips.
   QueryServiceConfig config;
@@ -131,7 +127,7 @@ TEST(ValueSource, QueryServiceUnderBudgetAgreesEverywhere) {
 }
 
 TEST(ValueSource, BatchedMatchesSingleLookups) {
-  const std::string path = save_solved("retra_serve_batch.db", true);
+  const std::string path = save_solved("retra_serve_batch.db");
   auto batched = QueryService::open(path);
   auto single = QueryService::open(path);
   ASSERT_TRUE(batched.ok && single.ok);
@@ -175,11 +171,11 @@ const BlockCache::Block& cached_block(BlockCache& cache, FileSource& source,
 }
 
 TEST(FileSource, FaultsLazilyAndRefaultsAfterEviction) {
-  const std::string path = save_solved("retra_serve_lazy.db", true);
+  const std::string path = save_solved("retra_serve_lazy.db");
   auto opened = FileSource::open(path);
   ASSERT_TRUE(opened.ok) << opened.error;
   FileSource& source = *opened.source;
-  // A packed level is one block; budget exactly level 5.
+  // Every level is one block here; budget exactly level 5.
   ASSERT_EQ(source.block_count(5), 1);
   BlockCache cache(source.block_decoded_bytes(5, 0));
   EXPECT_TRUE(cache.keys().empty());
@@ -205,7 +201,7 @@ TEST(FileSource, FaultsLazilyAndRefaultsAfterEviction) {
 
 TEST(FileSource, FaultsSingleBlocksOnCompressedFiles) {
   const std::string path =
-      save_solved_compressed("retra_serve_lazy_c.db", 512);
+      save_solved("retra_serve_lazy_c.db", 512);
   auto opened = FileSource::open(path);
   ASSERT_TRUE(opened.ok) << opened.error;
   FileSource& source = *opened.source;
@@ -254,14 +250,15 @@ TEST(FileSource, RejectsMissingAndMalformedFiles) {
 }
 
 TEST(QueryService, EvictionOrderIsDeterministicLru) {
-  const std::string path = save_solved("retra_serve_lru.db", true);
+  const std::string path = save_solved("retra_serve_lru.db");
   // Budget sized for levels 4+5+6 (683+2184+6188 bytes) but not a fourth
   // level on top.
   auto opened = QueryService::open(path);
   ASSERT_TRUE(opened.ok) << opened.error;
-  const std::uint64_t budget = opened.service->index().levels[4].payload_bytes +
-                               opened.service->index().levels[5].payload_bytes +
-                               opened.service->index().levels[6].payload_bytes;
+  const db::FileIndex& index = opened.service->index();
+  const std::uint64_t budget = index.levels[4].decoded_bytes() +
+                               index.levels[5].decoded_bytes() +
+                               index.levels[6].decoded_bytes();
   QueryServiceConfig config;
   config.budget_bytes = budget;
   auto squeezed = QueryService::open(path, config);
@@ -297,7 +294,7 @@ TEST(QueryService, EvictionOrderIsDeterministicLru) {
 
 TEST(QueryService, BlockEvictionOrderIsDeterministicLru) {
   const std::string path =
-      save_solved_compressed("retra_serve_blocklru.db", 512);
+      save_solved("retra_serve_blocklru.db", 512);
   auto probe = QueryService::open(path);
   ASSERT_TRUE(probe.ok) << probe.error;
   QueryService& probe_service = *probe.service;
@@ -346,7 +343,7 @@ TEST(QueryService, BlockEvictionOrderIsDeterministicLru) {
 
 TEST(QueryService, BlockStatsReconcileWithObsMetricsAndArtifact) {
   const std::string path =
-      save_solved_compressed("retra_serve_metrics_c.db", 1024);
+      save_solved("retra_serve_metrics_c.db", 1024);
   QueryServiceConfig config;
   config.budget_bytes = 2048;
   auto opened = QueryService::open(path, config);
@@ -391,7 +388,7 @@ TEST(QueryService, BlockStatsReconcileWithObsMetricsAndArtifact) {
 }
 
 TEST(QueryService, ServesLevelLargerThanWholeBudget) {
-  const std::string path = save_solved("retra_serve_oversize.db", true);
+  const std::string path = save_solved("retra_serve_oversize.db");
   QueryServiceConfig config;
   config.budget_bytes = 64;  // smaller than every level above 2
   auto opened = QueryService::open(path, config);
@@ -409,7 +406,7 @@ TEST(QueryService, ServesLevelLargerThanWholeBudget) {
 }
 
 TEST(QueryService, StatsReconcileWithObsMetricsAndArtifact) {
-  const std::string path = save_solved("retra_serve_metrics.db", true);
+  const std::string path = save_solved("retra_serve_metrics.db");
   QueryServiceConfig config;
   config.budget_bytes = 4096;
   auto opened = QueryService::open(path, config);
@@ -432,8 +429,8 @@ TEST(QueryService, StatsReconcileWithObsMetricsAndArtifact) {
 #if RETRA_METRICS_ENABLED
   // The obs delta tells the same story as the local mirror (under
   // -DRETRA_METRICS=OFF the macros publish nothing; only the local Stats
-  // mirror and the artifact schema below are checked).  A packed level
-  // is one block, so the block-cache family counts it.
+  // mirror and the artifact schema below are checked).  A whole level is
+  // one block here, and the block-cache family counts it.
   EXPECT_EQ(delta[obs::Id::kServeLookups].value, stats.lookups);
   EXPECT_EQ(delta[obs::Id::kServeBlockFaults].value, stats.faults);
   EXPECT_EQ(delta[obs::Id::kServeBlockEvictions].value, stats.evictions);
@@ -458,7 +455,7 @@ TEST(QueryService, StatsReconcileWithObsMetricsAndArtifact) {
 }
 
 TEST(QueryService, UnlimitedBudgetNeverEvicts) {
-  const std::string path = save_solved("retra_serve_unlimited.db", true);
+  const std::string path = save_solved("retra_serve_unlimited.db");
   auto opened = QueryService::open(path);
   ASSERT_TRUE(opened.ok) << opened.error;
   QueryService& service = *opened.service;
@@ -467,7 +464,7 @@ TEST(QueryService, UnlimitedBudgetNeverEvicts) {
   }
   EXPECT_EQ(service.stats().evictions, 0u);
   EXPECT_EQ(service.stats().resident_bytes,
-            service.index().total_payload_bytes());
+            service.index().total_decoded_bytes());
   std::remove(path.c_str());
 }
 

@@ -49,7 +49,7 @@ constexpr Suite kSuites[] = {
      8, 4, 4096, 1, 2, 1, 16},
 };
 
-/// The "q2" suite is not a simulated build: it packs a small database,
+/// The "q2" suite is not a simulated build: it saves a small database,
 /// serves it over loopback through the in-process retra-net-v1 server,
 /// and runs one CI-sized closed-loop plus pipelined load
 /// (bench_net_common.hpp — the same core bench_q2_server sweeps with a
@@ -62,7 +62,7 @@ int run_q2_suite(const std::string& json_path) {
   const std::string scratch =
       (std::filesystem::temp_directory_path() / "retra_bench_q2.db")
           .string();
-  db::save(database, scratch, db::Format{.version = 2});
+  db::save(database, scratch);
 
   net::ServerConfig config;
   config.workers = 2;
