@@ -10,7 +10,8 @@
 //   per level: u64 size | u8 bits | i16 offset | u32 block positions |
 //              u32 block count | u64 payload bytes |
 //              directory (per block: u8 scheme | u32 stored bytes |
-//              u64 offset | u64 checksum) | u64 directory checksum |
+//              u64 offset | u64 checksum) | u64 directory checksum
+//              (over the header fields and the directory) |
 //              concatenated stored blocks
 //
 // The readers also accept the two legacy formats earlier versions wrote,
@@ -144,6 +145,10 @@ LevelReadResult read_level(std::FILE* file, const LevelLocation& location);
 /// For RTRADB01/02 the only block (0) is the whole level.
 LevelReadResult read_block(std::FILE* file, const LevelLocation& location,
                            int block);
+
+/// Scans and reads a file that must hold exactly one level (a spilled
+/// shard or a checkpoint shard); diagnoses any other level count.
+LevelReadResult read_only_level(const std::string& path);
 
 /// FNV-1a over a byte range; exposed for tests.
 std::uint64_t fnv1a(const void* data, std::size_t size);

@@ -19,6 +19,11 @@ namespace {
 /// u8 scheme | u32 stored bytes | u64 offset | u64 checksum.
 constexpr std::size_t kDirEntryBytes = 1 + 4 + 8 + 8;
 
+/// Serialized size of the fixed RTRADB03 level header: u64 size | u8 bits |
+/// i16 offset | u32 block positions | u32 block count | u64 payload bytes.
+/// The directory checksum covers these bytes followed by the directory.
+constexpr std::size_t kLevelHeaderBytes = 8 + 1 + 2 + 4 + 4 + 8;
+
 struct FileCloser {
   void operator()(std::FILE* f) const {
     if (f) std::fclose(f);
@@ -67,8 +72,8 @@ T extract_pod(const std::uint8_t* data) {
   return value;
 }
 
-/// Writes one RTRADB03 level: header, block directory (with its own
-/// checksum), then the concatenated stored blocks.
+/// Writes one RTRADB03 level: header and block directory under one
+/// checksum, then the concatenated stored blocks.
 void save_compressed_level(std::FILE* f, const std::vector<Value>& values,
                            std::uint32_t block_positions) {
   const CompactLevel packed(values);
@@ -110,25 +115,24 @@ void save_compressed_level(std::FILE* f, const std::vector<Value>& values,
     blocks.push_back(std::move(encoded));
   }
 
-  write_pod(f, size);
-  write_pod(f, static_cast<std::uint8_t>(bits));
-  write_pod(f, offset);
-  write_pod(f, block_positions);
-  write_pod(f, static_cast<std::uint32_t>(block_count));
-  write_pod(f, payload_bytes);
-
-  std::vector<std::uint8_t> directory;
-  directory.reserve(blocks.size() * kDirEntryBytes);
+  std::vector<std::uint8_t> record;
+  record.reserve(kLevelHeaderBytes + blocks.size() * kDirEntryBytes);
+  append_pod(record, size);
+  append_pod(record, static_cast<std::uint8_t>(bits));
+  append_pod(record, offset);
+  append_pod(record, block_positions);
+  append_pod(record, static_cast<std::uint32_t>(block_count));
+  append_pod(record, payload_bytes);
   std::uint64_t running = 0;
   for (const EncodedBlock& block : blocks) {
-    append_pod(directory, static_cast<std::uint8_t>(block.scheme));
-    append_pod(directory, static_cast<std::uint32_t>(block.bytes.size()));
-    append_pod(directory, running);
-    append_pod(directory, fnv1a(block.bytes.data(), block.bytes.size()));
+    append_pod(record, static_cast<std::uint8_t>(block.scheme));
+    append_pod(record, static_cast<std::uint32_t>(block.bytes.size()));
+    append_pod(record, running);
+    append_pod(record, fnv1a(block.bytes.data(), block.bytes.size()));
     running += block.bytes.size();
   }
-  write_bytes(f, directory.data(), directory.size());
-  write_pod(f, fnv1a(directory.data(), directory.size()));
+  write_bytes(f, record.data(), record.size());
+  write_pod(f, fnv1a(record.data(), record.size()));
   for (const EncodedBlock& block : blocks) {
     write_bytes(f, block.bytes.data(), block.bytes.size());
   }
@@ -281,16 +285,30 @@ FileIndex scan(std::FILE* file) {
             block_count > kMaxLevelBlocks) {
           return fail("bad block geometry" + where);
         }
-        std::vector<std::uint8_t> directory(
-            static_cast<std::size_t>(block_count) * kDirEntryBytes);
-        if (!read_bytes(file, directory.data(), directory.size())) {
+        // The header as written, then the directory: what the checksum
+        // covers.
+        std::vector<std::uint8_t> record;
+        append_pod(record, location.size);
+        append_pod(record, stored_width);
+        append_pod(record, location.offset);
+        append_pod(record, location.block_positions);
+        append_pod(record, block_count);
+        append_pod(record, location.payload_bytes);
+        const std::size_t directory_bytes =
+            static_cast<std::size_t>(block_count) * kDirEntryBytes;
+        record.resize(kLevelHeaderBytes + directory_bytes);
+        std::uint8_t* directory = record.data() + kLevelHeaderBytes;
+        if (!read_bytes(file, directory, directory_bytes)) {
           return fail("truncated block directory" + where);
         }
         std::uint64_t directory_checksum = 0;
         if (!read_pod(file, directory_checksum)) {
           return fail("truncated block directory" + where);
         }
-        if (fnv1a(directory.data(), directory.size()) != directory_checksum) {
+        // Files written before the header joined the checksum carry one
+        // over the directory alone; they keep loading.
+        if (fnv1a(record.data(), record.size()) != directory_checksum &&
+            fnv1a(directory, directory_bytes) != directory_checksum) {
           return fail("block directory checksum mismatch" + where);
         }
         location.payload_offset = file_position(file);
@@ -299,7 +317,7 @@ FileIndex scan(std::FILE* file) {
         for (std::uint32_t b = 0; b < block_count; ++b) {
           const std::string at = where + " block " + std::to_string(b);
           const std::uint8_t* entry =
-              directory.data() + static_cast<std::size_t>(b) * kDirEntryBytes;
+              directory + static_cast<std::size_t>(b) * kDirEntryBytes;
           BlockLocation block;
           const std::uint8_t scheme = entry[0];
           if (scheme >= kBlockSchemeCount) {
@@ -496,6 +514,23 @@ LevelReadResult read_block(std::FILE* file, const LevelLocation& location,
                                            std::move(packed));
   result.ok = true;
   return result;
+}
+
+LevelReadResult read_only_level(const std::string& path) {
+  LevelReadResult result;
+  File file(std::fopen(path.c_str(), "rb"));
+  if (!file) {
+    result.error = "cannot open: " + path;
+    return result;
+  }
+  const FileIndex index = scan(file.get());
+  if (!index.ok || index.levels.size() != 1) {
+    result.error = index.ok ? "holds " + std::to_string(index.levels.size()) +
+                                  " levels, not one"
+                            : index.error;
+    return result;
+  }
+  return read_level(file.get(), index.levels[0]);
 }
 
 LoadResult load(const std::string& path) {

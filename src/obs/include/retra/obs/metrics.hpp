@@ -267,7 +267,7 @@ inline constexpr std::array<Desc, kMetricCount> kCatalog = {{
     {"checkpoint.bytes_written", Kind::kCounter, "bytes", "para.checkpoint",
      "-", "bytes written by checkpoint_save_level (levels + manifests)"},
     {"checkpoint.bytes_read", Kind::kCounter, "bytes", "para.checkpoint",
-     "-", "bytes read back by checkpoint_load"},
+     "-", "bytes read back by checkpoint_load (manifest + shard files)"},
     {"checkpoint.save_seconds", Kind::kTimer, "seconds", "para.checkpoint",
      "-", "wall time spent writing checkpoints"},
     {"checkpoint.load_seconds", Kind::kTimer, "seconds", "para.checkpoint",

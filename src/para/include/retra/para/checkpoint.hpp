@@ -4,8 +4,14 @@
 // a build that cannot resume after a crash is not usable at that scale.
 // A checkpoint directory holds
 //
-//   manifest.txt     configuration + number of completed levels
-//   level_<n>.ck     every rank's storage for level n, checksummed
+//   manifest.txt                configuration + number of completed levels
+//   level_<n>_rank_<r>.rtradb   rank r's storage for level n, as a
+//                               one-level RTRADB03 file (docs/FORMAT.md)
+//
+// so a checkpoint is written and read by the database codec itself
+// (db::save, db::read_only_level), with its header, directory and block
+// checksums.
+// A shard file can be inspected like any database (`retra_serve --db=`).
 //
 // build_parallel() with ParallelConfig::checkpoint_dir set writes a
 // checkpoint after every completed level and, on start, resumes from
@@ -27,20 +33,14 @@ struct CheckpointMeta {
   std::uint64_t block_size = 0;
   bool replicated = false;
   int levels = 0;  // completed levels (0..levels-1 are on disk)
-  /// Combining buffer size of the run that wrote the checkpoint.
-  /// Recorded for diagnostics only: it does not affect the on-disk layout,
-  /// so checkpoint_compatible() deliberately ignores it — resuming with a
-  /// different combining buffer is legal.
-  std::uint64_t combine_bytes = 0;
 };
 
-/// Writes level `level` of `ddb` (which must already contain it) plus a
-/// refreshed manifest.  Creates the directory if needed.  Aborts on I/O
-/// failure — a checkpoint that cannot be written must not be ignored.
-/// `combine_bytes` is recorded in the manifest for diagnostics.
+/// Writes level `level` of `ddb` (which must already contain it), one
+/// shard file per rank at the store's block size, plus a refreshed
+/// manifest.  Creates the directory if needed.  Aborts on I/O failure — a
+/// checkpoint that cannot be written must not be ignored.
 void checkpoint_save_level(const DistributedDatabase& ddb, int level,
-                           const std::string& directory,
-                           std::size_t combine_bytes = 0);
+                           const std::string& directory);
 
 struct CheckpointLoad {
   bool ok = false;
@@ -50,7 +50,9 @@ struct CheckpointLoad {
 };
 
 /// Loads a checkpoint directory; `ok == false` (with a diagnosis) for a
-/// missing, malformed, corrupted or internally inconsistent checkpoint.
+/// missing, malformed, corrupted or internally inconsistent checkpoint —
+/// including a shard file whose size disagrees with the level's partition
+/// and a manifest older than the RTRADB03 shard layout.
 /// `store_config` selects the level-store backend of the loaded database:
 /// with a working-set budget set, every restored level spills straight to
 /// scratch, so resuming an out-of-core build never needs the whole

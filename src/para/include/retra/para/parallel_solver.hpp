@@ -335,8 +335,7 @@ ParallelResult build_levels(const Family& family, int max_level,
       }
     }
     if (!config.checkpoint_dir.empty()) {
-      checkpoint_save_level(ddb, level, config.checkpoint_dir,
-                            config.combine_bytes);
+      checkpoint_save_level(ddb, level, config.checkpoint_dir);
     }
     info.build_seconds = level_timer.seconds();
     finalize_level_info(info);

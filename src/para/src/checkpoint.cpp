@@ -5,7 +5,7 @@
 #include <filesystem>
 #include <memory>
 
-#include "retra/db/db_io.hpp"  // fnv1a
+#include "retra/db/db_io.hpp"
 #include "retra/obs/metrics.hpp"
 #include "retra/support/check.hpp"
 #include "retra/support/numeric.hpp"
@@ -15,7 +15,7 @@ namespace retra::para {
 namespace {
 
 constexpr char kManifestName[] = "manifest.txt";
-constexpr std::uint32_t kLevelMagic = 0x52435031;  // "RCP1"
+constexpr int kManifestVersion = 3;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -24,94 +24,59 @@ struct FileCloser {
 };
 using File = std::unique_ptr<std::FILE, FileCloser>;
 
-std::string level_path(const std::string& directory, int level) {
-  return directory + "/level_" + std::to_string(level) + ".ck";
-}
-
-const char* scheme_token(PartitionScheme scheme) {
-  return scheme_name(scheme);  // "block" / "cyclic" / "block-cyclic"
+std::string shard_path(const std::string& directory, int level, int rank) {
+  return directory + "/level_" + std::to_string(level) + "_rank_" +
+         std::to_string(rank) + ".rtradb";
 }
 
 bool parse_scheme(const std::string& token, PartitionScheme& out) {
-  if (token == "block") {
-    out = PartitionScheme::kBlock;
-  } else if (token == "cyclic") {
-    out = PartitionScheme::kCyclic;
-  } else if (token == "block-cyclic") {
-    out = PartitionScheme::kBlockCyclic;
-  } else {
-    return false;
+  for (PartitionScheme scheme : {PartitionScheme::kBlock,
+                                 PartitionScheme::kCyclic,
+                                 PartitionScheme::kBlockCyclic}) {
+    if (token == scheme_name(scheme)) {
+      out = scheme;
+      return true;
+    }
   }
-  return true;
-}
-
-void write_bytes(std::FILE* f, const void* data, std::size_t size) {
-  if (size == 0) {
-    return;  // an empty shard has data() == nullptr; fwrite requires non-null
-  }
-  RETRA_CHECK_MSG(std::fwrite(data, 1, size, f) == size,
-                  "checkpoint short write");
-}
-
-template <typename T>
-void write_pod(std::FILE* f, T value) {
-  write_bytes(f, &value, sizeof value);
-}
-
-bool read_bytes(std::FILE* f, void* data, std::size_t size) {
-  if (size == 0) {
-    return true;  // matching write_bytes: never hand fread a null buffer
-  }
-  return std::fread(data, 1, size, f) == size;
-}
-
-template <typename T>
-bool read_pod(std::FILE* f, T& value) {
-  return read_bytes(f, &value, sizeof value);
+  return false;
 }
 
 }  // namespace
 
 void checkpoint_save_level(const DistributedDatabase& ddb, int level,
-                           const std::string& directory,
-                           std::size_t combine_bytes) {
+                           const std::string& directory) {
   RETRA_CHECK(level >= 0 && level < ddb.num_levels());
   RETRA_OBS_SCOPED_TIMER(save_timer, obs::Id::kCheckpointSaveSeconds);
   std::filesystem::create_directories(directory);
 
-  std::uint64_t written = sizeof kLevelMagic + sizeof(std::uint32_t);
-  {
-    File file(std::fopen(level_path(directory, level).c_str(), "wb"));
-    RETRA_CHECK_MSG(file != nullptr, "cannot write checkpoint level file");
-    std::FILE* f = file.get();
-    write_pod(f, kLevelMagic);
-    write_pod(f, static_cast<std::uint32_t>(ddb.ranks()));
-    for (int rank = 0; rank < ddb.ranks(); ++rank) {
-      // One decoded shard at a time — an out-of-core checkpoint never
-      // materialises the whole level in RAM.
-      const std::vector<db::Value> shard = ddb.read_rank_shard(level, rank);
-      write_pod(f, static_cast<std::uint64_t>(shard.size()));
-      const std::size_t bytes = shard.size() * sizeof(db::Value);
-      write_bytes(f, shard.data(), bytes);
-      write_pod(f, db::fnv1a(shard.data(), bytes));
-      written += sizeof(std::uint64_t) + bytes + sizeof(std::uint64_t);
-    }
-    RETRA_CHECK_MSG(std::fflush(f) == 0, "checkpoint flush failed");
+  std::uint64_t written = 0;
+  for (int rank = 0; rank < ddb.ranks(); ++rank) {
+    // One decoded shard at a time — an out-of-core checkpoint never
+    // materialises the whole level in RAM.  Each shard becomes a
+    // one-level RTRADB03 file, written as the file level store spills it.
+    db::Database holder;
+    holder.push_level(0, ddb.read_rank_shard(level, rank));
+    const std::string path = shard_path(directory, level, rank);
+    db::save(holder, path,
+             db::Format{.block_positions = ddb.store_config().block_positions});
+    written += std::filesystem::file_size(path);
   }
-  RETRA_OBS_ADD(obs::Id::kCheckpointBytesWritten, written);
 
-  // Manifest last: a crash between the two leaves the previous manifest,
-  // so a torn level file is never referenced.
+  // Manifest last: a crash before it leaves the previous manifest, so a
+  // torn shard file is never referenced.
   File manifest(
       std::fopen((directory + "/" + kManifestName).c_str(), "w"));
   RETRA_CHECK_MSG(manifest != nullptr, "cannot write checkpoint manifest");
-  std::fprintf(manifest.get(),
-               "retra-checkpoint 2\nranks %d\nscheme %s\nblock %" PRIu64
-               "\nreplicated %d\nlevels %d\ncombine %" PRIu64 "\n",
-               ddb.ranks(), scheme_token(ddb.scheme()),
-               ddb.block_size(), ddb.replicated() ? 1 : 0, level + 1,
-               static_cast<std::uint64_t>(combine_bytes));
-  RETRA_CHECK(std::fflush(manifest.get()) == 0);
+  const int chars = std::fprintf(
+      manifest.get(),
+      "retra-checkpoint %d\nranks %d\nscheme %s\nblock %" PRIu64
+      "\nreplicated %d\nlevels %d\n",
+      kManifestVersion, ddb.ranks(), scheme_name(ddb.scheme()),
+      ddb.block_size(), ddb.replicated() ? 1 : 0, level + 1);
+  RETRA_CHECK_MSG(chars > 0 && std::fflush(manifest.get()) == 0,
+                  "cannot write checkpoint manifest");
+  written += static_cast<std::uint64_t>(chars);
+  RETRA_OBS_ADD(obs::Id::kCheckpointBytesWritten, written);
 }
 
 CheckpointLoad checkpoint_load(const std::string& directory,
@@ -124,29 +89,27 @@ CheckpointLoad checkpoint_load(const std::string& directory,
     result.error = "no manifest in " + directory;
     return result;
   }
+  int version = 0;
+  if (std::fscanf(manifest.get(), "retra-checkpoint %d\n", &version) == 1 &&
+      version >= 1 && version < kManifestVersion) {
+    result.error = "checkpoint format " + std::to_string(version) +
+                   " predates RTRADB03 shards";
+    return result;
+  }
   char scheme_buf[32] = {};
-  int version = 0, replicated = 0;
+  int replicated = 0;
   std::uint64_t block = 0;
-  if (std::fscanf(manifest.get(),
-                  "retra-checkpoint %d\nranks %d\nscheme %31s\nblock "
-                  "%" SCNu64 "\nreplicated %d\nlevels %d\n",
-                  &version, &result.meta.ranks, scheme_buf, &block,
-                  &replicated, &result.meta.levels) != 6 ||
-      version < 1 || version > 2) {
+  if (version != kManifestVersion ||
+      std::fscanf(manifest.get(),
+                  "ranks %d\nscheme %31s\nblock %" SCNu64
+                  "\nreplicated %d\nlevels %d\n",
+                  &result.meta.ranks, scheme_buf, &block, &replicated,
+                  &result.meta.levels) != 5) {
     result.error = "malformed manifest";
     return result;
   }
-  if (version >= 2) {
-    // v2 additionally records the combining buffer size (diagnostic only;
-    // it never participates in the compatibility decision).
-    std::uint64_t combine = 0;
-    if (std::fscanf(manifest.get(), "combine %" SCNu64 "\n", &combine) !=
-        1) {
-      result.error = "malformed manifest";
-      return result;
-    }
-    result.meta.combine_bytes = combine;
-  }
+  RETRA_OBS_ADD(obs::Id::kCheckpointBytesRead,
+                static_cast<std::uint64_t>(std::ftell(manifest.get())));
   result.meta.block_size = block;
   result.meta.replicated = replicated != 0;
   if (!parse_scheme(scheme_buf, result.meta.scheme)) {
@@ -163,57 +126,46 @@ CheckpointLoad checkpoint_load(const std::string& directory,
       result.meta.ranks, result.meta.replicated, store_config);
 
   for (int level = 0; level < result.meta.levels; ++level) {
-    const std::string path = level_path(directory, level);
-    File file(std::fopen(path.c_str(), "rb"));
-    if (!file) {
-      result.error = "missing level file " + std::to_string(level);
-      return result;
-    }
-    std::error_code ec;
-    const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
-    if (!ec) RETRA_OBS_ADD(obs::Id::kCheckpointBytesRead, file_bytes);
-    std::FILE* f = file.get();
-    std::uint32_t magic = 0, ranks = 0;
-    if (!read_pod(f, magic) || magic != kLevelMagic ||
-        !read_pod(f, ranks) ||
-        ranks != static_cast<std::uint32_t>(result.meta.ranks)) {
-      result.error = "bad level header in level " + std::to_string(level);
-      return result;
-    }
-    std::vector<std::vector<db::Value>> storage(
+    const std::string where = " in level " + std::to_string(level);
+    std::vector<std::vector<db::Value>> shards(
         support::to_size(result.meta.ranks));
     std::uint64_t total = 0;
-    for (auto& shard : storage) {
-      std::uint64_t size = 0;
-      if (!read_pod(f, size)) {
-        result.error = "truncated level " + std::to_string(level);
+    for (int rank = 0; rank < result.meta.ranks; ++rank) {
+      const std::string at = where + " rank " + std::to_string(rank);
+      const std::string path = shard_path(directory, level, rank);
+      std::error_code ec;
+      const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
+      if (ec) {
+        result.error = "missing shard file" + at;
         return result;
       }
-      // A corrupted size field must not drive a huge allocation: no shard
-      // can hold more values than the whole file has bytes for.
-      if (ec || size > file_bytes / sizeof(db::Value)) {
-        result.error = "implausible shard size in level " +
-                       std::to_string(level);
+      RETRA_OBS_ADD(obs::Id::kCheckpointBytesRead, file_bytes);
+      // Every checksum verified; diagnoses, never aborts.
+      const db::LevelReadResult shard = db::read_only_level(path);
+      if (!shard.ok) {
+        result.error = "bad shard file" + at + ": " + shard.error;
         return result;
       }
-      shard.resize(size);
-      const std::size_t bytes = size * sizeof(db::Value);
-      std::uint64_t checksum = 0;
-      if (!read_bytes(f, shard.data(), bytes) || !read_pod(f, checksum)) {
-        result.error = "truncated level " + std::to_string(level);
+      shards[support::to_size(rank)] = shard.level.expand();
+      total += shards[support::to_size(rank)].size();
+    }
+    // A shard file copied to the wrong rank or level must be diagnosed
+    // here: the push_level_* calls abort on a layout mismatch.
+    const Partition partition = database->make_partition(total);
+    for (int rank = 0; rank < result.meta.ranks; ++rank) {
+      const std::uint64_t expected = result.meta.replicated
+                                         ? shards.front().size()
+                                         : partition.local_size(rank);
+      if (shards[support::to_size(rank)].size() != expected) {
+        result.error = "shard size does not match the partition" + where +
+                       " rank " + std::to_string(rank);
         return result;
       }
-      if (checksum != db::fnv1a(shard.data(), bytes)) {
-        result.error = "checksum mismatch in level " + std::to_string(level);
-        return result;
-      }
-      total += size;
     }
     if (result.meta.replicated) {
-      database->push_level_full(level, std::move(storage));
+      database->push_level_full(level, std::move(shards));
     } else {
-      // Shard sizes must reassemble into a consistent level.
-      database->push_level_shards(level, total, std::move(storage));
+      database->push_level_shards(level, total, std::move(shards));
     }
   }
   result.database = std::move(database);

@@ -93,14 +93,8 @@ void FileLevelStore::visit_shard(int level, const ShardVisitor& fn) const {
     support::MutexLock lock(mutex_);
     path = levels_[support::to_size(level)].path;
   }
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  RETRA_CHECK_MSG(file != nullptr, "cannot reopen spilled level");
-  const db::FileIndex index = db::scan(file);
-  RETRA_CHECK_MSG(index.ok && index.levels.size() == 1,
-                  "spilled level failed to scan");
-  const db::LevelReadResult read = db::read_level(file, index.levels[0]);
-  std::fclose(file);
-  RETRA_CHECK_MSG(read.ok, "spilled level failed to read");
+  const db::LevelReadResult read = db::read_only_level(path);
+  RETRA_CHECK_MSG(read.ok, "spilled level failed to read: " + read.error);
   const std::vector<db::Value> values = read.level.expand();
   fn(std::span<const db::Value>(values));
 }

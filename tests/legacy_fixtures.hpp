@@ -1,6 +1,7 @@
-// Committed RTRADB01/02 files, written by the last writers of those
-// formats (commit 5e100fe; db::save now writes RTRADB03 only).  The
-// readers must keep accepting them.  They were generated there with
+// Committed files in formats nothing writes any more; the readers must
+// keep accepting them.  The RTRADB01/02 files were written by the last
+// writers of those formats (commit 5e100fe; db::save now writes RTRADB03
+// only).  They were generated there with
 //
 //   db_builder --level=3 --format=v1 --out=tests/fixtures/awari3.rtradb01
 //   db_builder --level=3 --format=v2 --out=tests/fixtures/awari3.rtradb02
@@ -13,6 +14,15 @@
 //            db::Format{.version = 2});
 //
 // (8- and 16-bit raw levels; 4-, 8- and 16-bit packed levels).
+//
+// awari3.rtradb03 is an RTRADB03 file whose dir_checksum fields cover
+// the block directories alone, as written before the level header joined
+// that checksum (commit 641066d):
+//
+//   db_builder --level=3 --ranks=1 --block-positions=64
+//              --out=tests/fixtures/awari3.rtradb03
+//
+// (awari levels 0..3 in 1, 1, 2 and 6 blocks).
 #pragma once
 
 #include <string>

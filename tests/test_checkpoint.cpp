@@ -7,7 +7,9 @@
 #include <random>
 #include <vector>
 
+#include "retra/db/db_io.hpp"
 #include "retra/game/awari_level.hpp"
+#include "retra/obs/metrics.hpp"
 #include "retra/para/checkpoint.hpp"
 #include "retra/para/parallel_solver.hpp"
 #include "retra/ra/builder.hpp"
@@ -28,8 +30,26 @@ class CheckpointTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
+  /// Rank `rank`'s shard file of level `level`.
+  std::string shard(int level, int rank) const {
+    return dir_ + "/level_" + std::to_string(level) + "_rank_" +
+           std::to_string(rank) + ".rtradb";
+  }
+
   std::string dir_;
 };
+
+/// XORs the byte at `offset` of the file with `mask`.
+void flip_byte(const std::string& path, std::uint64_t offset, char mask) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  const auto at = static_cast<std::streamoff>(offset);
+  char byte;
+  file.seekg(at);
+  file.read(&byte, 1);
+  byte = static_cast<char>(byte ^ mask);
+  file.seekp(at);
+  file.write(&byte, 1);
+}
 
 TEST_F(CheckpointTest, SaveAndLoadRoundTrip) {
   ParallelConfig config;
@@ -42,6 +62,26 @@ TEST_F(CheckpointTest, SaveAndLoadRoundTrip) {
   EXPECT_EQ(loaded.meta.ranks, 3);
   EXPECT_EQ(loaded.meta.levels, 5);
   EXPECT_EQ(loaded.database->gather(), result.database->gather());
+
+  // The directory is the manifest plus one one-level RTRADB03 file per
+  // (level, rank), each holding that rank's shard.
+  int shards = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().filename() == "manifest.txt") continue;
+    EXPECT_EQ(entry.path().extension(), ".rtradb") << entry.path();
+    const db::FileIndex index = db::scan(entry.path().string());
+    ASSERT_TRUE(index.ok) << entry.path() << ": " << index.error;
+    EXPECT_EQ(index.version, 3);
+    EXPECT_EQ(index.levels.size(), 1u);
+    ++shards;
+  }
+  EXPECT_EQ(shards, 5 * 3);
+  for (int rank = 0; rank < 3; ++rank) {
+    const db::LoadResult file = db::load(shard(4, rank));
+    ASSERT_TRUE(file.ok) << file.error;
+    EXPECT_EQ(file.database.level(0),
+              result.database->read_rank_shard(4, rank));
+  }
 }
 
 TEST_F(CheckpointTest, ResumeContinuesWhereItStopped) {
@@ -91,18 +131,9 @@ TEST_F(CheckpointTest, CorruptedLevelFileIsRejected) {
   config.checkpoint_dir = dir_;
   build_parallel(game::AwariFamily{}, 3, config);
 
-  // Flip a byte in level 2's payload.
-  const std::string victim = dir_ + "/level_2.ck";
-  std::fstream file(victim, std::ios::in | std::ios::out | std::ios::binary);
-  file.seekg(0, std::ios::end);
-  const auto size = static_cast<long>(file.tellg());
-  file.seekg(size / 2);
-  char byte;
-  file.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x40);
-  file.seekp(size / 2);
-  file.write(&byte, 1);
-  file.close();
+  // Flip a byte in the middle of a level 2 shard file.
+  const std::string victim = shard(2, 1);
+  flip_byte(victim, fs::file_size(victim) / 2, 0x40);
 
   const CheckpointLoad loaded = checkpoint_load(dir_);
   EXPECT_FALSE(loaded.ok);
@@ -141,7 +172,7 @@ TEST_F(CheckpointTest, TruncatedLevelFileIsRejected) {
   config.checkpoint_dir = dir_;
   build_parallel(game::AwariFamily{}, 3, config);
 
-  const std::string victim = dir_ + "/level_1.ck";
+  const std::string victim = shard(1, 0);
   const auto size = fs::file_size(victim);
   fs::resize_file(victim, size / 2);
 
@@ -156,18 +187,12 @@ TEST_F(CheckpointTest, BitFlipInChecksumRegionIsRejected) {
   config.checkpoint_dir = dir_;
   build_parallel(game::AwariFamily{}, 3, config);
 
-  // The last 8 bytes of a level file are the final shard's checksum; a
+  // The 8 bytes before a shard's payload are its directory checksum; a
   // flipped checksum must be caught exactly like flipped payload.
-  const std::string victim = dir_ + "/level_3.ck";
-  const auto size = static_cast<long>(fs::file_size(victim));
-  std::fstream file(victim, std::ios::in | std::ios::out | std::ios::binary);
-  file.seekg(size - 4);
-  char byte;
-  file.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x01);
-  file.seekp(size - 4);
-  file.write(&byte, 1);
-  file.close();
+  const std::string victim = shard(3, 1);
+  const db::FileIndex index = db::scan(victim);
+  ASSERT_TRUE(index.ok) << index.error;
+  flip_byte(victim, index.levels[0].payload_offset - 4, 0x01);
 
   const CheckpointLoad loaded = checkpoint_load(dir_);
   EXPECT_FALSE(loaded.ok);
@@ -182,13 +207,13 @@ TEST_F(CheckpointTest, ManifestLevelCountMismatchIsRejected) {
   build_parallel(game::AwariFamily{}, 3, config);
 
   // The manifest claims 4 levels; remove one of the referenced files.
-  fs::remove(dir_ + "/level_2.ck");
+  fs::remove(shard(2, 1));
   const CheckpointLoad loaded = checkpoint_load(dir_);
   EXPECT_FALSE(loaded.ok);
   EXPECT_NE(loaded.error.find("missing"), std::string::npos) << loaded.error;
 }
 
-// Fuzz: arbitrary truncations and single-bit flips anywhere in a level
+// Fuzz: arbitrary truncations and single-bit flips anywhere in a shard
 // file must always produce ok == false with a diagnosis — never a crash,
 // never a silently adopted corrupted database.
 TEST_F(CheckpointTest, CorruptionFuzzAlwaysFailsCleanly) {
@@ -197,7 +222,7 @@ TEST_F(CheckpointTest, CorruptionFuzzAlwaysFailsCleanly) {
   config.checkpoint_dir = dir_;
   build_parallel(game::AwariFamily{}, 3, config);
 
-  const std::string victim = dir_ + "/level_2.ck";
+  const std::string victim = shard(2, 1);
   std::vector<char> pristine;
   {
     std::ifstream in(victim, std::ios::binary);
@@ -268,16 +293,78 @@ TEST_F(CheckpointTest, DifferentBlockSizeIsRejectedForBlockCyclic) {
             ra::build_database(game::AwariFamily{}, 3));
 }
 
-TEST_F(CheckpointTest, ManifestRecordsTheCombineBytes) {
+// A shard file at the wrong rank must be diagnosed, not abort the load
+// in push_level_shards: awari level 3 splits 122/121/121 over P = 3.
+TEST_F(CheckpointTest, MisplacedShardFileIsDiagnosed) {
+  ParallelConfig config;
+  config.ranks = 3;
+  config.checkpoint_dir = dir_;
+  const auto result = build_parallel(game::AwariFamily{}, 3, config);
+  ASSERT_EQ(result.database->partition(3).local_size(0), 122u);
+  ASSERT_EQ(result.database->partition(3).local_size(1), 121u);
+
+  fs::rename(shard(3, 0), dir_ + "/swap");
+  fs::rename(shard(3, 1), shard(3, 0));
+  fs::rename(dir_ + "/swap", shard(3, 1));
+  const CheckpointLoad swapped = checkpoint_load(dir_);
+  EXPECT_FALSE(swapped.ok);
+  EXPECT_NE(swapped.error.find("partition in level 3"), std::string::npos)
+      << swapped.error;
+
+  // A file holding anything but one level is not a shard either.
+  db::save(ra::build_database(game::AwariFamily{}, 1), shard(3, 0));
+  const CheckpointLoad two_levels = checkpoint_load(dir_);
+  EXPECT_FALSE(two_levels.ok);
+  EXPECT_NE(two_levels.error.find("holds 2 levels"), std::string::npos)
+      << two_levels.error;
+}
+
+// Manifests of the formats before RTRADB03 shards name files this code
+// no longer reads: reported as unusable, and the build starts fresh.
+TEST_F(CheckpointTest, PreShardManifestStartsFresh) {
   ParallelConfig config;
   config.ranks = 2;
-  config.combine_bytes = 512;
   config.checkpoint_dir = dir_;
-  build_parallel(game::AwariFamily{}, 2, config);
-  const CheckpointLoad loaded = checkpoint_load(dir_);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.meta.combine_bytes, 512u);
+  for (int version : {1, 2}) {
+    fs::create_directories(dir_);
+    std::ofstream(dir_ + "/manifest.txt")
+        << "retra-checkpoint " << version
+        << "\nranks 2\nscheme cyclic\nblock 1024\nreplicated 0\nlevels 2\n"
+        << (version == 2 ? "combine 4096\n" : "");
+    const CheckpointLoad loaded = checkpoint_load(dir_);
+    EXPECT_FALSE(loaded.ok);
+    EXPECT_EQ(loaded.error, "checkpoint format " + std::to_string(version) +
+                                " predates RTRADB03 shards");
+
+    const auto result = build_parallel(game::AwariFamily{}, 3, config);
+    EXPECT_EQ(result.levels.size(), 4u) << version;  // rebuilt everything
+    EXPECT_EQ(result.database->gather(),
+              ra::build_database(game::AwariFamily{}, 3));
+    fs::remove_all(dir_);
+  }
 }
+
+#if RETRA_METRICS_ENABLED
+// checkpoint.bytes_written counts shard files and manifests.  Every level
+// rewrites the manifest, so a build's delta is the directory's bytes plus
+// the manifests it replaced (all of one length for levels 1..4).
+TEST_F(CheckpointTest, BytesWrittenCountsShardsAndManifests) {
+  ParallelConfig config;
+  config.ranks = 3;
+  config.checkpoint_dir = dir_;
+  const obs::Snapshot before = obs::snapshot();
+  build_parallel(game::AwariFamily{}, 3, config);
+  const obs::Snapshot delta = obs::snapshot() - before;
+
+  std::uint64_t directory_bytes = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+    directory_bytes += entry.file_size();
+  }
+  const std::uint64_t manifest_bytes = fs::file_size(dir_ + "/manifest.txt");
+  EXPECT_EQ(delta[obs::Id::kCheckpointBytesWritten].value,
+            directory_bytes + 3 * manifest_bytes);
+}
+#endif  // RETRA_METRICS_ENABLED
 
 TEST(CheckpointCompat, MatchRules) {
   CheckpointMeta meta;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "legacy_fixtures.hpp"
 #include "retra/db/database.hpp"
@@ -271,30 +273,76 @@ TEST(DbIo, RejectsTrailingBytesAfterLastLevel) {
   std::remove(written.c_str());
 }
 
+/// Overwrites level 0's i16 offset, at byte 8 + 4 + 8 + 1 = 21 in
+/// RTRADB02/03, with INT16_MIN.
+void set_level0_offset_to_min(const std::string& path) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  file.seekp(21);
+  const char offset[2] = {0x00, static_cast<char>(0x80)};
+  file.write(offset, 2);
+}
+
 TEST(DbIo, RejectsValueDecodingToUnknown) {
-  // Level 0 is {0}, stored as code 0 under offset 0.  The i16 offset at
-  // byte 8 + 4 + 8 + 1 = 21 is covered by no checksum; set to INT16_MIN
-  // it decodes code 0 to kUnknown, which load() must diagnose rather
-  // than abort on.
-  const auto built = ra::build_database(game::AwariFamily{}, 3);
-  const std::string written = temp_path("retra_unknown_v3.db");
-  save(built, written);
-  for (const std::string& source :
-       {test::fixture_path("awari3.rtradb02"), written}) {
-    const std::string path = scratch_copy(source, "retra_unknown.db");
-    {
-      std::fstream file(path,
-                        std::ios::in | std::ios::out | std::ios::binary);
-      file.seekp(21);
-      const char offset[2] = {0x00, static_cast<char>(0x80)};
-      file.write(offset, 2);
-    }
+  // Level 0 is {0}, stored as code 0 under offset 0.  In an RTRADB02
+  // file, and in an RTRADB03 file written before the level header joined
+  // the directory checksum, no checksum covers the offset; set to
+  // INT16_MIN it decodes code 0 to kUnknown, which load() must diagnose
+  // rather than abort on.
+  for (const char* fixture : {"awari3.rtradb02", "awari3.rtradb03"}) {
+    const std::string path =
+        scratch_copy(test::fixture_path(fixture), "retra_unknown.db");
+    set_level0_offset_to_min(path);
     const LoadResult loaded = load(path);
-    EXPECT_FALSE(loaded.ok) << source;
-    EXPECT_EQ(loaded.error, "unknown value in level 0") << source;
+    EXPECT_FALSE(loaded.ok) << fixture;
+    EXPECT_EQ(loaded.error, "unknown value in level 0") << fixture;
     std::remove(path.c_str());
   }
-  std::remove(written.c_str());
+
+  // A file written now checksums the offset: the scan rejects it first.
+  const std::string path = temp_path("retra_unknown_v3.db");
+  save(ra::build_database(game::AwariFamily{}, 3), path);
+  set_level0_offset_to_min(path);
+  const LoadResult loaded = load(path);
+  EXPECT_FALSE(loaded.ok);
+  EXPECT_EQ(loaded.error, "block directory checksum mismatch in level 0");
+  std::remove(path.c_str());
+}
+
+TEST(DbIo, EveryBitFlipOfAnRtradb03FileIsRejected) {
+  // Every byte of an RTRADB03 file is under a checksum or checked
+  // structurally: magic, level count, the level header and directory
+  // (dir_checksum), the directory checksum itself, and the blocks (their
+  // directory entries' checksums).  Awari levels 0..3 at 64-position
+  // blocks make a 505-byte file: 4040 single-bit flips.
+  const std::string path = temp_path("retra_bitflip_v3.db");
+  save(ra::build_database(game::AwariFamily{}, 3), path,
+       Format{.block_positions = 64});
+  std::vector<char> pristine;
+  {
+    std::ifstream in(path, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(pristine.size(), 505u);
+  int rejected = 0;
+  for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<char> mutated = pristine;
+      mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+      }
+      const LoadResult loaded = load(path);
+      EXPECT_FALSE(loaded.ok) << "flip of bit " << bit << " of byte " << byte;
+      if (!loaded.ok) {
+        EXPECT_FALSE(loaded.error.empty());
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_EQ(rejected, 4040);
+  std::remove(path.c_str());
 }
 
 TEST(DbIo, CompressedRoundTripAllSchemes) {
@@ -481,11 +529,54 @@ TEST(DbIo, CompressedStrictlySmallerOnAwari) {
 
 TEST(DbIo, LegacyAwariFixturesLoadAsBuilt) {
   const auto built = ra::build_database(game::AwariFamily{}, 3);
-  for (const char* fixture : {"awari3.rtradb01", "awari3.rtradb02"}) {
+  for (const char* fixture :
+       {"awari3.rtradb01", "awari3.rtradb02", "awari3.rtradb03"}) {
     const LoadResult loaded = load(test::fixture_path(fixture));
     ASSERT_TRUE(loaded.ok) << fixture << ": " << loaded.error;
     EXPECT_EQ(loaded.database, built) << fixture;
   }
+}
+
+TEST(DbIo, DirectoryOnlyChecksumFixtureScans) {
+  // awari3.rtradb03 predates the level header joining dir_checksum: its
+  // checksums cover the directories alone, and it keeps scanning with
+  // its recorded 64-position geometry.  The same database written now
+  // differs from it only inside the four dir_checksum fields.
+  const FileIndex index = scan(test::fixture_path("awari3.rtradb03"));
+  ASSERT_TRUE(index.ok) << index.error;
+  EXPECT_EQ(index.version, 3);
+  ASSERT_EQ(index.levels.size(), 4u);
+  const int blocks[4] = {1, 1, 2, 6};
+  for (std::size_t l = 0; l < 4; ++l) {
+    EXPECT_EQ(index.levels[l].block_positions, 64u);
+    EXPECT_EQ(index.levels[l].block_count(), blocks[l]);
+  }
+
+  const std::string path = temp_path("retra_awari3_now.db");
+  save(ra::build_database(game::AwariFamily{}, 3), path,
+       Format{.block_positions = 64});
+  const auto read_all = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  const std::vector<char> then = read_all(test::fixture_path("awari3.rtradb03"));
+  const std::vector<char> now = read_all(path);
+  ASSERT_EQ(now.size(), then.size());
+  std::vector<bool> in_checksum(now.size(), false);
+  for (const LevelLocation& level : index.levels) {
+    for (std::uint64_t b = level.payload_offset - 8; b < level.payload_offset;
+         ++b) {
+      in_checksum[b] = true;
+    }
+  }
+  for (std::size_t b = 0; b < now.size(); ++b) {
+    if (!in_checksum[b]) {
+      EXPECT_EQ(now[b], then[b]) << "byte " << b;
+    }
+  }
+  EXPECT_NE(now, then);
+  std::remove(path.c_str());
 }
 
 TEST(DbIo, AwariDatabaseSurvivesRoundTrip) {

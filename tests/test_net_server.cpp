@@ -136,11 +136,14 @@ TEST(NetServer, FullDatabaseAgreementViaBatches) {
 
 TEST(NetServer, LegacyFixturesServeTheBuiltValues) {
   // RTRADB01/02 files written before RTRADB03 became the one written
-  // format still serve over the wire, each level one implicit block.
+  // format still serve over the wire, each level one implicit block, and
+  // so does an RTRADB03 file written before the level header joined the
+  // directory checksum.
   const db::Database built = ra::build_database(game::AwariFamily{}, 3);
   ServerConfig config;
   config.budget_bytes = 128;  // smaller than level 3: fault + evict
-  for (const char* fixture : {"awari3.rtradb01", "awari3.rtradb02"}) {
+  for (const char* fixture :
+       {"awari3.rtradb01", "awari3.rtradb02", "awari3.rtradb03"}) {
     auto opened = Server::open(test::fixture_path(fixture), config);
     ASSERT_TRUE(opened.ok) << fixture << ": " << opened.error;
     auto client = dial(*opened.server);
